@@ -45,8 +45,9 @@ mc-bench:
 
 # Capped MC bench run doubling as a scaling-regression guard: sweeps
 # j in {1,4} and exits 1 if j=4 aggregate throughput regresses below
-# j=1 (on a single-CPU box, if mc j=1 falls below 0.8x the dfs
-# baseline). Never touches the committed BENCH_mc.json numbers.
+# j=1 (on a single-CPU box, if mc j=1 falls below 0.8x the exact-key
+# reference explorer, Explore.reference, on the same three
+# workloads). Never touches the committed BENCH_mc.json numbers.
 # The guard runs with telemetry always-on bumps compiled in, so a
 # regression in the zero-cost-when-off discipline fails here too.
 # The second step exercises the observability surface end to end:

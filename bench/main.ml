@@ -470,7 +470,8 @@ let mc () =
      exit 1 if the aggregate j=4 throughput falls below j=1. On a
      single-CPU box domain scaling is unmeasurable (extra domains only
      add stop-the-world GC synchronization), so the guard degrades to
-     a serial-overhead check: mc j=1 must stay within 0.8x of dfs. *)
+     a serial-overhead check: mc j=1 must stay within 0.8x of the
+     exact-key reference explorer. *)
   let cap, capped =
     match Sys.getenv_opt "BENCH_MC_CAP" with
     | Some s -> (
@@ -502,24 +503,25 @@ let mc () =
     [ ("bakery", 3, 718_590); ("tournament", 3, 1_356_589);
       ("gt:2", 3, 1_356_589) ]
   in
+  (* [None] is the exact-key reference explorer (Explore.reference),
+     the serial baseline; it has no telemetry, so its counter columns
+     read 0 *)
   let engines =
-    ("dfs", `Dfs, false, false, None, true)
+    ("reference", None, false, None, true)
     :: List.map
-         (fun j -> (Fmt.str "mc j=%d" j, `Parallel j, false, false, None, true))
+         (fun j -> (Fmt.str "mc j=%d" j, Some (`Parallel j), false, None, true))
          jobs_sweep
     @ [
         (* the --no-compile escape hatch: raw closure interpreter,
            identical counts, the before-row of the compiled layer *)
-        ("mc j=1 no-compile", `Parallel 1, false, false, None, false);
-        ("mc j=1 +por", `Parallel 1, true, false, None, true);
-        ("mc j=4 +por", `Parallel 4, true, false, None, true);
-        ("mc j=1 +sym", `Parallel 1, false, true, None, true);
-        ("mc j=1 +por+sym", `Parallel 1, true, true, None, true);
+        ("mc j=1 no-compile", Some (`Parallel 1), false, None, false);
+        ("mc j=1 +por", Some (`Parallel 1), true, None, true);
+        ("mc j=4 +por", Some (`Parallel 4), true, None, true);
         (* bounded rows: the reorder-budget under-approximation at K=2
            and the deepening driver, reading the same bound_hits counter
            `--stats-out` exports *)
-        ("mc j=1 rb=2", `Parallel 1, false, false, Some (`K 2), true);
-        ("mc j=1 deepen", `Parallel 1, false, false, Some `Deepen, true);
+        ("mc j=1 rb=2", Some (`Parallel 1), false, Some (`K 2), true);
+        ("mc j=1 deepen", Some (`Parallel 1), false, Some `Deepen, true);
       ]
   in
   let records = ref [] in
@@ -529,25 +531,40 @@ let mc () =
     List.concat_map
       (fun (name, nprocs, expected) ->
         List.map
-          (fun (label, engine, por, symmetry, bound, compile) ->
+          (fun (label, engine, por, bound, compile) ->
             let vstats = ref None in
             (* a fresh hub per run: counter totals are per-run, and the
                NDJSON columns below come straight off it — the same
                counters `--stats-out` exports, so bench rows and CLI
                telemetry can never disagree *)
-            let tel =
-              Telemetry.Hub.create
-                ~workers:(match engine with `Dfs -> 1 | `Parallel j -> j)
-                ()
-            in
+            let jobs = match engine with None -> 0 | Some (`Parallel j) -> j in
+            let tel = Telemetry.Hub.create ~workers:(max 1 jobs) () in
             let mw0 = Gc.minor_words () in
             let t0 = Unix.gettimeofday () in
-            let v =
-              Verify.Mutex_check.check ~tel ~compile ~max_states:cap
-                ~expected_states:(min cap expected)
-                ~report_visited:(fun s -> vstats := Some s)
-                ~engine ~por ~symmetry ?reorder_bound:bound
-                ~model:Memory_model.Pso (lock name) ~nprocs
+            let s, reorder_bound, bound_exact =
+              match engine with
+              | None ->
+                  let _, _, cfg =
+                    Verify.Mutex_check.workload ~compile
+                      ~model:Memory_model.Pso (lock name) ~nprocs ~rounds:1
+                  in
+                  let r =
+                    Explore.reference ~max_states:cap
+                      ~monitor:Verify.Mutex_check.cs_monitor
+                      ~init:Pid.Set.empty cfg
+                  in
+                  (r.Explore.stats, None, true)
+              | Some engine ->
+                  let v =
+                    Verify.Mutex_check.check ~tel ~compile ~max_states:cap
+                      ~expected_states:(min cap expected)
+                      ~report_visited:(fun s -> vstats := Some s)
+                      ~engine ~por ?reorder_bound:bound
+                      ~model:Memory_model.Pso (lock name) ~nprocs
+                  in
+                  ( v.Verify.Mutex_check.stats,
+                    v.Verify.Mutex_check.reorder_bound,
+                    v.Verify.Mutex_check.bound_exact )
             in
             let dt = Unix.gettimeofday () -. t0 in
             let mw = Gc.minor_words () -. mw0 in
@@ -555,18 +572,16 @@ let mc () =
             let steals = ctr "steals"
             and dedup = ctr "dedup_hits"
             and bound_hits = ctr "bound_hits"
-            and prunes = ctr "por_prunes" + ctr "sym_remaps" in
-            let s = v.Verify.Mutex_check.stats in
+            and prunes = ctr "por_prunes" in
             let rate = float_of_int s.Explore.states /. dt in
             let mw_per_state =
               if s.Explore.states = 0 then 0.
               else mw /. float_of_int s.Explore.states
             in
-            let jobs = match engine with `Dfs -> 0 | `Parallel j -> j in
             (* a run racing j domains over fewer CPUs measures contention,
                not scaling: flag it and refuse to publish a speedup *)
             let underprovisioned = jobs > cpus in
-            if (not por) && (not symmetry) && bound = None && compile then
+            if (not por) && bound = None && compile then
               Hashtbl.replace rates (name, jobs) rate;
             let speedup =
               if underprovisioned then Float.nan
@@ -583,18 +598,18 @@ let mc () =
             records :=
               Fmt.str
                 {|  {"workload": %S, "nprocs": %d, "model": "PSO",
-   "engine": %S, "jobs": %d, "por": %b, "symmetry": %b,
+   "engine": %S, "jobs": %d, "por": %b,
    "compiled": %b, "minor_words_per_state": %.1f,
    "reorder_bound": %s, "bound_hits": %d, "bound_exact": %b,
    "states": %d, "transitions": %d, "truncated": %b,
    "seconds": %.3f, "states_per_sec": %.0f,
    "steals": %d, "dedup_hits": %d, "prunes": %d,
    "speedup_vs_j1": %s, "underprovisioned": %b, "visited_skew": %s}|}
-                name nprocs label jobs por symmetry compile mw_per_state
-                (match v.Verify.Mutex_check.reorder_bound with
+                name nprocs label jobs por compile mw_per_state
+                (match reorder_bound with
                 | Some k -> string_of_int k
                 | None -> "null")
-                bound_hits v.Verify.Mutex_check.bound_exact s.Explore.states
+                bound_hits bound_exact s.Explore.states
                 s.Explore.transitions s.Explore.truncated dt rate steals dedup
                 prunes
                 (if Float.is_nan speedup then "null"
@@ -688,7 +703,7 @@ let mc () =
             records :=
               Fmt.str
                 {|  {"workload": %S, "nprocs": %d, "model": %S,
-   "engine": "mc j=1", "jobs": 1, "por": false, "symmetry": false,
+   "engine": "mc j=1", "jobs": 1, "por": false,
    "compiled": %b, "minor_words_per_state": %.1f,
    "reorder_bound": null, "bound_hits": 0, "bound_exact": true,
    "states": %d, "transitions": %d, "truncated": %b,
@@ -735,11 +750,11 @@ let mc () =
     close_out oc;
     Fmt.pr
       "@.%d CPU(s) visible to the runtime; wrote BENCH_mc.json. Reading: \
-       the incremental-fingerprint engine beats the serializing DFS even \
-       at j=1; the work-stealing frontier keeps oversubscription cheap, \
-       but the states/s column can only scale with physical cores, not \
-       with j. POR and symmetry rows visit strictly fewer states with \
-       identical verdicts.@."
+       the incremental-fingerprint engine beats the string-keyed \
+       reference explorer even at j=1; the work-stealing frontier keeps \
+       oversubscription cheap, but the states/s column can only scale \
+       with physical cores, not with j. POR rows visit strictly fewer \
+       states with identical verdicts.@."
       cpus
   end;
   if guard then begin
@@ -772,21 +787,21 @@ let mc () =
     end
     else begin
       (* 1 CPU: extra domains only multiply stop-the-world GC syncs;
-         guard the engine's serial overhead against the baseline dfs
-         instead *)
+         guard the engine's serial overhead against the reference
+         explorer instead *)
       if r0 <= 0. || r1 <= 0. then begin
-        Fmt.epr "guard: need the dfs and j=1 rows@.";
+        Fmt.epr "guard: need the reference and j=1 rows@.";
         exit 1
       end;
       let ratio = r1 /. r0 in
       Fmt.pr
         "@.guard: 1 CPU — scaling unmeasurable; serial overhead mc j=1 / \
-         dfs = %.2f (floor 0.80)@."
+         reference = %.2f (floor 0.80)@."
         ratio;
       if ratio < 0.8 then begin
         Fmt.epr
-          "guard: serial regression — mc j=1 aggregate %.0f st/s vs dfs \
-           %.0f st/s@."
+          "guard: serial regression — mc j=1 aggregate %.0f st/s vs \
+           reference %.0f st/s@."
           r1 r0;
         exit 1
       end

@@ -56,13 +56,21 @@ let nprocs_t =
   Arg.(value & opt int 4 & info [ "n"; "nprocs" ] ~docv:"N" ~doc:"Process count.")
 
 let jobs_t =
+  let domains =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 1 -> Ok j
+      | _ -> Error (`Msg (Fmt.str "expected a domain count J >= 1, got %S" s))
+    in
+    Arg.conv (parse, Fmt.int)
+  in
   Arg.(
     value
-    & opt int 0
+    & opt domains 1
     & info [ "j"; "jobs" ] ~docv:"J"
         ~doc:
-          "Exploration domains: 0 (default) uses the sequential DFS, J >= 1 \
-           the parallel engine with J domains.")
+          "Domains the model-checking engine explores with (J >= 1; \
+           default 1, which runs in a deterministic order).")
 
 let por_t =
   Arg.(
@@ -70,8 +78,7 @@ let por_t =
     & flag
     & info [ "por" ]
         ~doc:
-          "Partial-order reduction (safe-step persistent sets); implies the \
-           parallel engine (1 domain unless $(b,--jobs) says otherwise).")
+          "Partial-order reduction (safe-step persistent sets).")
 
 let no_compile_t =
   Arg.(
@@ -83,20 +90,6 @@ let no_compile_t =
            translation and continuation sharing of the compiled execution \
            layer. Semantics-identical (same outcomes, counts and verdicts); \
            the escape hatch that keeps the uncompiled path exercised.")
-
-let symmetry_t =
-  Arg.(
-    value
-    & flag
-    & info [ "symmetry" ]
-        ~doc:
-          "Process-id symmetry reduction (canonical fingerprints over pid \
-           orbits); implies the parallel engine (1 domain unless \
-           $(b,--jobs) says otherwise). Complete only for fully \
-           pid-symmetric programs; the lock workloads embed pid \
-           tie-breaks, so exploration is an under-approximation: any \
-           violation reported is real, but a clean check is reported as \
-           'OK (symmetry-reduced subset)', not a proof of correctness.")
 
 (* --reorder-bound K | deepen: the reorder-bounded under-approximation
    (fixed budget) or iterative deepening until violation/saturation. *)
@@ -136,15 +129,7 @@ let reorder_bound_t =
            plain OK; a run that never hit the bound certifies saturation \
            and stays exact. $(b,deepen) starts at 0 and widens the bound \
            until a violation or saturation, resuming the visited set \
-           between levels. Exclusive with $(b,--symmetry).")
-
-(* --jobs/--por/--symmetry to an Mc engine selection: the reductions
-   are Mc features, so requesting either routes through the parallel
-   engine even at J=1. *)
-let engine_of ?(symmetry = false) ~jobs ~por () : Mc.engine =
-  if jobs >= 1 then `Parallel jobs
-  else if por || symmetry then `Parallel 1
-  else `Dfs
+           between levels.")
 
 (* --- observability ------------------------------------------------ *)
 
@@ -189,7 +174,7 @@ let stats_out_t =
    no ["run"] record is written — an interrupted file ends in samples,
    never a bogus verdict. *)
 let with_telemetry ~progress ~interval ~stats_out ~workers ~label f =
-  let tel = Telemetry.Hub.create ~workers:(max 1 workers) () in
+  let tel = Telemetry.Hub.create ~workers () in
   let sink = Option.map Telemetry.Sink.create stats_out in
   let sampler =
     if progress || Option.is_some sink then
@@ -305,15 +290,14 @@ let check_cmd =
       & info [ "max-states" ] ~docv:"K" ~doc:"State cap for exploration.")
   in
   let run (name, factory) model nprocs rounds max_states trace jobs por
-      symmetry reorder_bound no_compile progress interval stats_out =
+      reorder_bound no_compile progress interval stats_out =
    protect @@ fun () ->
-    let engine = engine_of ~symmetry ~jobs ~por () in
     with_telemetry ~progress ~interval ~stats_out ~workers:jobs ~label:"check"
     @@ fun tel finish ->
     let v =
       Verify.Mutex_check.check ~tel ~compile:(not no_compile) ~rounds
-        ~max_states ~engine ~por ~symmetry ?reorder_bound ~model factory
-        ~nprocs
+        ~max_states ~engine:(`Parallel jobs) ~por ?reorder_bound ~model
+        factory ~nprocs
     in
     let level_records =
       List.map
@@ -372,7 +356,7 @@ let check_cmd =
     Term.(
       ret
         (const run $ lock_t $ model_t $ nprocs_t $ rounds_t $ max_states_t
-       $ trace_t $ jobs_t $ por_t $ symmetry_t $ reorder_bound_t
+       $ trace_t $ jobs_t $ por_t $ reorder_bound_t
        $ no_compile_t $ progress_t $ interval_t $ stats_out_t))
 
 let stress_cmd =
@@ -432,9 +416,7 @@ let litmus_cmd =
   let run test model jobs por reorder_bound no_compile progress interval
       stats_out =
    protect @@ fun () ->
-    (* no --symmetry here: litmus verdicts project per-pid outcomes,
-       which orbit merging would conflate *)
-    let engine = engine_of ~jobs ~por () in
+    let engine = `Parallel jobs in
     let models, sweeping =
       match model with
       | Some m ->
@@ -566,12 +548,8 @@ let fuzz_cmd =
       interval stats_out =
    protect @@ fun () ->
     let params = { Fuzz.Gen.procs; len; nregs = regs; values } in
-    let jobs_list =
-      List.filter (fun j -> j <= max 1 jobs) [ 1; 2; 4 ]
-    in
-    let config =
-      { Fuzz.Oracle.default_config with model; jobs = jobs_list }
-    in
+    let jobs_list = List.filter (fun j -> j <= jobs) [ 1; 2; 4 ] in
+    let config = { Fuzz.Oracle.default_config with model; jobs = jobs_list } in
     with_telemetry ~progress ~interval ~stats_out ~workers:1 ~label:"fuzz"
     @@ fun tel finish ->
     let summary = Fuzz.run ~tel ~config ~params ~seed ~count () in
@@ -688,7 +666,6 @@ let synth_cmd =
   let run family litmus model nprocs rounds max_states strategy jobs progress
       interval stats_out frontier_out =
    protect @@ fun () ->
-    let jobs = max 1 jobs in
     let problem =
       match (family, litmus) with
       | Some _, Some _ -> Error "--family and --litmus are mutually exclusive"

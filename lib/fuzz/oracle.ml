@@ -9,9 +9,9 @@
        contained in TSO's, and TSO's in PSO's (via
        {!Litmus.Test.separation}); the operational content of the
        paper's SC ⊆ TSO ⊆ PSO behaviour inclusion.
-    2. {b engine parity} — [Explore.dfs], [Mc.run ~engine:(`Parallel j)]
-       and the POR-on run agree on the outcome set under the checked
-       model.
+    2. {b engine parity} — the exact-key {!Memsim.Explore.reference}
+       explorer, [Mc.run ~engine:(`Parallel j)] and the POR-on run
+       agree on the outcome set under the checked model.
     3. {b fence saturation} — a fence after every write collapses the
        TSO and PSO outcome sets onto SC's (fence insertion, made
        operational).
@@ -110,28 +110,39 @@ let check ?(config = default_config) prog : verdict =
     let ra = run test ~model:Memory_model.Ra in
     nesting "SC⊆SRA" ~stronger:sc ~weaker:sra;
     nesting "SRA⊆RA" ~stronger:sra ~weaker:ra;
-    (* oracle 2: engine parity under the configured model *)
-    let reference =
+    (* oracle 2: engine parity under the configured model, against the
+       exact-key reference explorer *)
+    let regs, cfg = Litmus.Test.configure test ~model:config.model in
+    let reference, ref_run =
+      Explore.reference_outcomes ~max_states:config.max_states
+        ~observe:(Litmus.Test.observe test regs) cfg
+    in
+    if ref_run.Explore.stats.Explore.truncated then
+      raise
+        (Skip (Fmt.str "reference truncated at %d states under %a"
+                 config.max_states Memory_model.pp config.model));
+    let parity tag r =
+      if outcomes r <> reference then
+        fail ("parity:" ^ tag) "reference %a vs %s %a" pp_outcomes reference
+          tag pp_outcomes (outcomes r)
+    in
+    (* oracle 1 already explored the configured model at j=1 *)
+    let j1 =
       match config.model with
       | Memory_model.Sc -> sc
       | Memory_model.Tso -> tso
-      | Memory_model.Pso | Memory_model.Rmo -> pso
+      | Memory_model.Pso -> pso
       | Memory_model.Ra -> ra
       | Memory_model.Sra -> sra
-    in
-    let parity tag r =
-      if outcomes r <> outcomes reference then
-        fail ("parity:" ^ tag) "dfs %a vs %s %a" pp_outcomes
-          (outcomes reference) tag pp_outcomes (outcomes r)
+      | Memory_model.Rmo -> run test ~model:config.model
     in
     List.iter
       (fun j ->
         parity (Fmt.str "j=%d" j)
-          (run ~engine:(`Parallel j) test ~model:reference.Litmus.Test.model))
+          (if j = 1 then j1
+           else run ~engine:(`Parallel j) test ~model:config.model))
       config.jobs;
-    parity "por"
-      (run ~engine:(`Parallel 1) ~por:true test
-         ~model:reference.Litmus.Test.model);
+    parity "por" (run ~por:true test ~model:config.model);
     (* oracle 3: fence saturation collapses TSO/PSO onto SC *)
     let sat = Gen.compile (Gen.saturate prog) in
     let sat_sc = run sat ~model:Memory_model.Sc in
@@ -157,15 +168,6 @@ let check ?(config = default_config) prog : verdict =
             (outcomes r) pp_outcomes (outcomes sat_full_sc))
       [ Memory_model.Ra; Memory_model.Sra ];
     (* oracle 4: random schedules only reach exhaustive outcomes *)
-    let regs, _ = Litmus.Test.configure test ~model:config.model in
-    let observe final =
-      {
-        Litmus.Test.returns =
-          List.init (Config.nprocs final) (fun p ->
-              Option.value ~default:(-1) (Config.final_value final p));
-        finals = List.map (Config.read_mem final) (test.Litmus.Test.observed regs);
-      }
-    in
     List.iter
       (fun (model, exh) ->
         let _, cfg = Litmus.Test.configure test ~model in
@@ -178,7 +180,7 @@ let check ?(config = default_config) prog : verdict =
               fail "random:stuck" "seed %d under %a: %s" seed Memory_model.pp
                 model msg
           | _, final ->
-              let o = observe final in
+              let o = Litmus.Test.observe test regs final in
               if not (Litmus.Test.admits exh o) then
                 fail "random:unsound" "seed %d under %a reached %a outside %a"
                   seed Memory_model.pp model Litmus.Test.pp_outcome o
@@ -208,7 +210,7 @@ let check ?(config = default_config) prog : verdict =
         None
       in
       let r =
-        Mc.run ~engine:`Dfs ~max_states:config.max_states ~check:watch
+        Mc.run ~max_states:config.max_states ~check:watch
           ~monitor:(fun () _ -> Stdlib.Ok ())
           ~init:() cfg
       in

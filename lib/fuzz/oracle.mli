@@ -1,5 +1,5 @@
 (** The seven differential oracles: model nesting (SC ⊆ TSO ⊆ PSO and
-    SC ⊆ SRA ⊆ RA), engine parity (dfs / parallel / POR), fence
+    SC ⊆ SRA ⊆ RA), engine parity (reference / parallel / POR), fence
     saturation (fences after every write collapse buffered models onto
     SC; fences around every instruction collapse the view-based RA/SRA
     models too), random-schedule soundness (under every model,

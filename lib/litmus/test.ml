@@ -51,23 +51,27 @@ let configure ?compile test ~model =
   let regs = Array.init test.nregs Fun.id in
   (regs, Config.make ?compile ~model ~layout (test.programs regs))
 
+(** The outcome a quiescent configuration of [test] reached: per-process
+    return values (-1 if unfinished), then the observed registers' final
+    committed values. *)
+let observe test regs final =
+  {
+    returns =
+      List.init (Config.nprocs final) (fun p ->
+          Option.value ~default:(-1) (Config.final_value final p));
+    finals = List.map (Config.read_mem final) (test.observed regs);
+  }
+
 (** Enumerate all reachable outcomes of [test] under [model]. [engine]
-    selects the explorer ([`Dfs] default, [`Parallel j] for the
-    multicore engine); [por] enables partial-order reduction, which
-    preserves the outcome set (all quiescent states are still reached)
-    while visiting fewer states. [tel] plugs a {!Telemetry.Hub.t} into
-    the exploration for live progress and stats (see {!Mc.run}). *)
+    selects the engine's domain count ([`Parallel 1] default); [por]
+    enables partial-order reduction, which preserves the outcome set
+    (all quiescent states are still reached) while visiting fewer
+    states. [tel] plugs a {!Telemetry.Hub.t} into the exploration for
+    live progress and stats (see {!Mc.run}). *)
 let run ?tel ?compile ?max_states ?engine ?por ?reorder_bound test ~model : run
     =
   let regs, cfg = configure ?compile test ~model in
-  let observe final =
-    {
-      returns =
-        List.init (Config.nprocs final) (fun p ->
-            Option.value ~default:(-1) (Config.final_value final p));
-      finals = List.map (Config.read_mem final) (test.observed regs);
-    }
-  in
+  let observe = observe test regs in
   match reorder_bound with
   | None ->
       let outcomes, result =
@@ -100,9 +104,7 @@ let run ?tel ?compile ?max_states ?engine ?por ?reorder_bound test ~model : run
       (* deepening a litmus enumeration always saturates (the bound
          stops climbing only at saturation or truncation), so the
          final outcome set is the full one unless truncated *)
-      let jobs =
-        match engine with Some (`Parallel j) -> j | Some `Dfs | None -> 1
-      in
+      let jobs = match engine with Some (`Parallel j) -> j | None -> 1 in
       let outcomes, d =
         Mc.deepen_outcomes ?tel ~jobs ?por ?max_states ~observe cfg
       in

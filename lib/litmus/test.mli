@@ -36,14 +36,18 @@ type run = {
 val configure :
   ?compile:bool -> t -> model:Memory_model.t -> Reg.t array * Config.t
 
+(** The outcome a quiescent configuration reached, given the registers
+    {!configure} returned: per-process return values (-1 if
+    unfinished), then the observed registers' final values. *)
+val observe : t -> Reg.t array -> Config.t -> outcome
+
 (** Enumerate all reachable outcomes under the model. [engine] selects
-    the explorer ([`Dfs] default, [`Parallel j] for the multicore
-    engine); [por] preserves the outcome set while visiting fewer
-    states. [tel] plugs a {!Telemetry.Hub.t} into the exploration for
-    live progress and stats (see {!Mc.run}). [reorder_bound] restricts
-    the enumeration to executions within a reorder budget ([`K k]) or
-    iteratively deepens until the set saturates ([`Deepen], which
-    under [`Dfs] deepens on one domain). *)
+    the engine's domain count ([`Parallel 1] default); [por] preserves
+    the outcome set while visiting fewer states. [tel] plugs a
+    {!Telemetry.Hub.t} into the exploration for live progress and
+    stats (see {!Mc.run}). [reorder_bound] restricts the enumeration to
+    executions within a reorder budget ([`K k]) or iteratively deepens
+    until the set saturates ([`Deepen], on [engine]'s domain count). *)
 val run :
   ?tel:Telemetry.Hub.t -> ?compile:bool ->
   ?max_states:int -> ?engine:Mc.engine -> ?por:bool ->

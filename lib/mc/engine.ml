@@ -1,6 +1,8 @@
-(** The model-checking engine: work-stealing parallel exploration with
-    optional partial-order and symmetry reduction, subsuming
-    {!Memsim.Explore.dfs} as its 1-domain special case.
+(** The model-checking engine: work-stealing parallel exploration over
+    [j] domains with optional partial-order reduction. It is the only
+    engine; [`Parallel 1] runs in the calling domain in a deterministic
+    depth-first claim order, and {!Memsim.Explore.reference} is the
+    exact-key explorer it is audited against.
 
     Architecture:
 
@@ -21,28 +23,22 @@
     - with [por], each expansion first looks for a persistent-singleton
       safe step ({!Por}); finding one prunes every sibling
       interleaving;
-    - with [symmetry], the visited set is keyed on {!Symmetry.canon}
-      — the minimum fingerprint over process-id permutations — so one
-      representative per pid orbit is expanded. Paths and
-      configurations are never canonicalized, so counterexamples
-      replay verbatim ({!Replay}) and need no de-canonicalization;
     - verdict paths are just the recorded [Exec.elt] schedules; they
       replay deterministically regardless of domain count or visit
       order.
 
-    Parity with [Explore.dfs] ([`Parallel j], [por:false],
-    [symmetry:false]): same states, transitions, deadlocks and
-    verdict {e sets} on any run that completes within its bounds —
-    both claim every distinct normalized state exactly once, expand
-    each claimed state exactly once, and count one transition per
-    successor element of each expanded state. Claiming at creation
-    changes the {e discovery order} of violations relative to the
-    historical entry-time dedup (children are monitored before their
-    subtrees are explored), so on runs with multiple violations the
-    list may be ordered differently; the set is the same. Once a
-    bound truncates the run, visit order determines which part of the
-    graph was seen, so truncated runs agree only on the [truncated]
-    flag.
+    Parity with [Explore.reference] ([`Parallel j], [por:false]): same
+    states, transitions, deadlocks and verdict {e sets} on any run that
+    completes within its bounds — both claim every distinct normalized
+    state exactly once, expand each claimed state exactly once, and
+    count one transition per successor element of each expanded state.
+    Claiming at creation changes the {e discovery order} of violations
+    relative to the reference's entry-time dedup (children are
+    monitored before their subtrees are explored), so on runs with
+    multiple violations the list may be ordered differently; the set is
+    the same. Once a bound truncates the run, visit order determines
+    which part of the graph was seen, so truncated runs agree only on
+    the [truncated] flag.
 
     Hooks under parallelism: [monitor] must be a pure function (it is
     threaded through tasks on every domain); [check] must be pure;
@@ -51,7 +47,7 @@
 
 open Memsim
 
-type engine = [ `Dfs | `Parallel of int ]
+type engine = [ `Parallel of int ]
 
 type 'm task = {
   cfg : Config.t;  (** normalized: labels flushed *)
@@ -73,12 +69,12 @@ let rec monitor_steps monitor m = function
 (** A frontier-consistent cut of a running j=1 exploration, in plain
     data (no closures, no monitor values): everything a killed run
     needs to restart from where it was. [ck_visited] holds the claim
-    keys verbatim (canonical under symmetry, budget-mixed under a
-    bound — whatever the run was keying on); [ck_pending] holds the
-    {e paths} of the claimed-but-unexpanded tasks, in-hand task first
-    and then the deque in pop order, so a resume reconstructs tasks by
-    deterministic replay and continues in the exact exploration order
-    of the uninterrupted run. Violations and deadlocks found so far
+    keys verbatim (budget-mixed under a bound — whatever the run was
+    keying on); [ck_pending] holds the {e paths} of the
+    claimed-but-unexpanded tasks, in-hand task first and then the deque
+    in pop order, so a resume reconstructs tasks by deterministic
+    replay and continues in the exact exploration order of the
+    uninterrupted run. Violations and deadlocks found so far
     travel as (message, path) / path — their monitor values are
     rebuilt by replay on resume. *)
 type checkpoint = {
@@ -143,7 +139,7 @@ let replay_task (type m)
               }))
     root path
 
-let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
+let run_parallel (type m) ~tel ~jobs ~por ~expected_states
     ~report_visited ~max_states ~max_depth ~max_violations ~max_deadlocks
     ~(bound : int option) ~(on_boundary : (m task -> unit) option)
     ~(visited_in : Visited.t option) ~(seeds : m task list option)
@@ -165,29 +161,16 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   (match (resume, seeds) with
   | Some _, Some _ -> invalid_arg "Mc.run: ~resume and ~seeds are exclusive"
   | _ -> ());
-  if symmetry && Memory_model.view_based cfg0.Config.model then
-    (* the canonicalizer would have to rename register and message ids
-       inside views, message bases and logs under a pid permutation —
-       not implemented, so refuse loudly rather than merge unsoundly *)
-    Fmt.invalid_arg
-      "Mc.run: ~symmetry:true is not supported under %s (view-based state is \
-       not pid-permutation-canonicalizable yet)"
-      (Memory_model.to_string cfg0.Config.model);
   (match bound with
   | Some _ when Memory_model.view_based cfg0.Config.model ->
-      (* same rejection as Explore.dfs: the budget meters overtaken
-         buffer entries, which view-based models don't have *)
+      (* the budget meters overtaken buffer entries, which view-based
+         models don't have — reject rather than silently explore
+         everything (DESIGN.md §6f) *)
       Fmt.invalid_arg
         "Mc.run: ~reorder_bound is not supported under %s (view-based models \
          have no write buffer to meter)"
         (Memory_model.to_string cfg0.Config.model)
   | Some k when k < 0 -> Fmt.invalid_arg "Mc.run: reorder_bound %d" k
-  | Some _ when symmetry ->
-      (* the budget term is keyed by raw pids, which a pid permutation
-         scrambles; composing the two reductions soundly would need the
-         canonicalizer to permute the flag bitsets along with the orbit
-         — not implemented, so refuse loudly rather than under-explore *)
-      invalid_arg "Mc.run: ~symmetry:true and ~reorder_bound are exclusive"
   | _ -> ());
   (* Telemetry is always wired: with no hub supplied we bump a private
      one nobody reads. Counters are plain int adds on pre-allocated
@@ -208,7 +191,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   let c_children = Telemetry.Hub.counter tel "children" in
   let c_dedup = Telemetry.Hub.counter tel "dedup_hits" in
   let c_por = Telemetry.Hub.counter tel "por_prunes" in
-  let c_sym = Telemetry.Hub.counter tel "sym_remaps" in
   let c_bound = Telemetry.Hub.counter tel "bound_hits" in
   (* [visited_in] lets the deepening driver resume a bounded run with
      the previous levels' claims intact — keys carry the budget term,
@@ -218,14 +200,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     | Some v -> v
     | None -> Visited.create ?expected_states ()
   in
-  (* Symmetry needs observation digests that transform under register
-     renaming: switch on per-register observation tracking at the root
-     (every explored state descends from it), so {!Symmetry.canon} can
-     remap each process's per-register lanes instead of the ordered —
-     and permutation-scrambled — raw log. Plain fingerprints are
-     untouched; without symmetry nothing changes at all. *)
-  let cfg0 = if symmetry then Config.track_obs_regs cfg0 else cfg0 in
-  let sym = if symmetry then Some (Symmetry.create cfg0) else None in
   (* A resume restarts mid-run: counters continue from the cut (so
      caps and final totals match the uninterrupted run), the visited
      set gets the recorded claims back verbatim, and the recorded
@@ -308,29 +282,15 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     end;
     Mutex.unlock sync
   in
-  (* Visited-set key of a normalized child: its fingerprint, or its
-     canonical (orbit-minimal) fingerprint under symmetry. A canonical
-     key differing from the plain fingerprint means the state was
-     folded onto another orbit representative — counted as a remap, the
-     observable trace of the symmetry reduction at work. *)
-  let key w (c : m task) =
-    let fp =
-      match sym with
-      | None -> c.fp
-      | Some s ->
-          let cfp = Symmetry.canon s c.cfg in
-          if not (Fingerprint.equal cfp c.fp) then
-            Telemetry.Cells.incr c_sym ~worker:w;
-          cfp
-    in
+  (* Visited-set key of a normalized child: its fingerprint, mixed
+     with the budget term under a bound — the flag bitsets are part of
+     the bounded state: two paths to the same semantic state with
+     different reorderings in flight have different admissible futures.
+     Flag-free states mix the zero term, keeping their plain keys. *)
+  let key (c : m task) =
     match bound with
-    | None -> fp
-    | Some _ ->
-        (* the budget (flag bitsets) is part of the bounded state: two
-           paths to the same semantic state with different reorderings
-           in flight have different admissible futures. Flag-free
-           states mix the zero term, keeping their plain keys. *)
-        Fingerprint.mix fp (Fingerprint.budget_term c.cfg)
+    | None -> c.fp
+    | Some _ -> Fingerprint.mix c.fp (Fingerprint.budget_term c.cfg)
   in
   (* Bounded admissibility of an edge, judged on its successor: more
      reorderings in flight than the budget excludes the edge from the
@@ -388,7 +348,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
      monitor every chosen edge, normalize and monitor each child, then
      claim the whole brood in one batched visited probe. Returns the
      claim winners in exploration order (first child first); only they
-     become tasks. Mirrors Explore.dfs edge for edge — the same
+     become tasks. Mirrors Explore.reference edge for edge — the same
      elements are executed, the same notes monitored, each distinct
      normalized state claimed once — with dedup moved from child entry
      to child creation. *)
@@ -537,7 +497,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
           | [] -> []
           | [ c ] ->
               (* single candidate: plain add, no batch machinery *)
-              if Visited.add visited (key w c) then begin
+              if Visited.add visited (key c) then begin
                 Atomic.incr states;
                 [ c ]
               end
@@ -556,7 +516,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
                 List.filter
                   (fun c ->
                     incr ntotal;
-                    Visited.add visited (key w c)
+                    Visited.add visited (key c)
                     && begin
                          incr nclaimed;
                          true
@@ -574,7 +534,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   (* Worker [w]: depth-first with the next task "in hand" — the first
      child continues immediately, the siblings go to the bottom of our
      own deque (in reverse, so the earliest sibling is popped back
-     first and one domain walks the graph in Explore.dfs claim order).
+     first and one domain walks the graph in depth-first claim order).
      Thieves steal shallow tasks from the top on their own; no
      explicit sharing heuristic is needed. Children are registered
      before their parent completes, so [pending] reaches zero only
@@ -638,9 +598,9 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
       Frontier.stop frontier
   in
   (* The root is normalized, monitored and claimed like any other
-     state (Explore.dfs treats its initial entry identically). With
-     [seeds] (a deepening resume) the root was claimed at level 0 —
-     the seeds are already-claimed boundary tasks to re-expand. *)
+     state (Explore.reference treats its initial entry identically).
+     With [seeds] (a deepening resume) the root was claimed at level 0
+     — the seeds are already-claimed boundary tasks to re-expand. *)
   let tasks =
     match (seeds, resume) with
     | Some tasks, _ -> tasks
@@ -665,7 +625,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
             []
         | Ok m ->
             let t = { cfg; fp; m; rev_path = []; depth = 0 } in
-            ignore (Visited.add visited (key 0 t));
+            ignore (Visited.add visited (key t));
             Atomic.incr states;
             [ t ])
   in
@@ -674,7 +634,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   | first :: rest ->
       Frontier.register frontier (1 + List.length rest);
       if jobs = 1 then (
-        (* run in the calling domain: deterministic Explore.dfs claim
+        (* run in the calling domain: deterministic depth-first claim
            order — extra seeds go to our own deque, reversed so the
            earliest is popped back first *)
         if rest <> [] then Frontier.inject frontier ~worker:0 (List.rev rest);
@@ -722,48 +682,36 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     deadlocks = !deadlocks;
   }
 
-let run (type m) ?tel ?(engine : engine = `Dfs) ?(por = false)
-    ?(symmetry = false) ?expected_states ?report_visited
-    ?(max_states = 1_000_000) ?(max_depth = 100_000) ?(max_violations = 3)
-    ?(max_deadlocks = max_int) ?reorder_bound ?checkpoint ?resume
-    ?(check = fun (_ : Config.t) -> None)
+let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
+    ?expected_states ?report_visited ?(max_states = 1_000_000)
+    ?(max_depth = 100_000) ?(max_violations = 3) ?(max_deadlocks = max_int)
+    ?reorder_bound ?checkpoint ?resume ?(check = fun (_ : Config.t) -> None)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m Explore.result =
-  match engine with
-  | `Dfs ->
-      (* bit-compatible with the historical sequential checker; [por]
-         and [symmetry] do not apply (use [`Parallel 1] for reduced
-         sequential exploration) *)
-      if symmetry then
-        Fmt.invalid_arg "Mc.run: ~symmetry:true requires `Parallel";
-      if checkpoint <> None || resume <> None then
-        invalid_arg "Mc.run: ~checkpoint/~resume require `Parallel 1";
-      Explore.dfs ?tel ~max_states ~max_depth ~max_violations ~max_deadlocks
-        ?reorder_bound ~check ~monitor ~init ~on_final cfg0
-  | `Parallel jobs ->
-      run_parallel ~tel ~jobs ~por ~symmetry ~expected_states ~report_visited
-        ~max_states ~max_depth ~max_violations ~max_deadlocks
-        ~bound:reorder_bound ~on_boundary:None ~visited_in:None ~seeds:None
-        ~checkpoint ~resume ~check ~monitor ~init ~on_final cfg0
+  let (`Parallel jobs) = engine in
+  run_parallel ~tel ~jobs ~por ~expected_states ~report_visited ~max_states
+    ~max_depth ~max_violations ~max_deadlocks ~bound:reorder_bound
+    ~on_boundary:None ~visited_in:None ~seeds:None ~checkpoint ~resume ~check
+    ~monitor ~init ~on_final cfg0
 
 (** Exploration without a monitor: just reachability. *)
-let run_plain ?tel ?engine ?por ?symmetry ?expected_states ?max_states
-    ?max_depth ?max_deadlocks ?reorder_bound ?on_final cfg =
+let run_plain ?tel ?engine ?por ?expected_states ?max_states ?max_depth
+    ?max_deadlocks ?reorder_bound ?on_final cfg =
   let on_final = Option.map (fun f cfg (_ : unit) -> f cfg) on_final in
-  run ?tel ?engine ?por ?symmetry ?expected_states ?max_states ?max_depth
+  run ?tel ?engine ?por ?expected_states ?max_states ?max_depth
     ?max_deadlocks ?reorder_bound
     ~monitor:(fun () _ -> Ok ())
     ~init:() ?on_final cfg
 
 (** Reachable quiescent-state projections under [observe], sorted, plus
-    the exploration result. Mirrors {!Memsim.Explore.reachable_outcomes};
-    [on_final] mutation is serialized by the engine. *)
-let reachable_outcomes ?tel ?engine ?por ?symmetry ?max_states ?max_depth
-    ?reorder_bound ~observe cfg =
+    the exploration result; [on_final] mutation is serialized by the
+    engine. *)
+let reachable_outcomes ?tel ?engine ?por ?max_states ?max_depth ?reorder_bound
+    ~observe cfg =
   let outcomes = Hashtbl.create 16 in
   let result =
-    run_plain ?tel ?engine ?por ?symmetry ?max_states ?max_depth ?reorder_bound
+    run_plain ?tel ?engine ?por ?max_states ?max_depth ?reorder_bound
       ~on_final:(fun final -> Hashtbl.replace outcomes (observe final) ())
       cfg
   in
@@ -839,7 +787,7 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
       Mutex.unlock bmutex
     in
     let r =
-      run_parallel ~tel ~jobs ~por ~symmetry:false ~expected_states
+      run_parallel ~tel ~jobs ~por ~expected_states
         ~report_visited:None ~max_states:(max_states - !cum_states) ~max_depth
         ~max_violations ~max_deadlocks ~bound:(Some k)
         ~on_boundary:(Some on_boundary) ~visited_in:(Some visited) ~seeds
@@ -886,7 +834,7 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
       (* Deterministic resume at any [jobs]: the mutex-guarded
          collection order is racy under work stealing, so seed the
          next level in sorted bounded-key order. Tasks noted at one
-         level carry distinct bounded keys (the claim key: canonical
+         level carry distinct bounded keys (the claim key: the
          fingerprint mixed with the budget term), so the order is
          total and discovery-independent — level records become
          reproducible across [--jobs] (pinned by the j∈{1,4}

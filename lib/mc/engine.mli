@@ -1,15 +1,14 @@
-(** Parallel, reduction-aware model-checking engine. [`Dfs] delegates
-    to the historical {!Memsim.Explore.dfs}; [`Parallel j] explores
-    with [j] domains over per-worker work-stealing deques and a
-    fingerprint-sharded visited set, optionally under partial-order
-    reduction ([por], {!Por}) and process-id symmetry reduction
-    ([symmetry], {!Symmetry}). See the implementation header for the
-    parity guarantees with the sequential checker and the
-    thread-safety contract of the hooks. *)
+(** The model-checking engine: [`Parallel j] explores with [j] domains
+    over per-worker work-stealing deques and a fingerprint-sharded
+    visited set, optionally under partial-order reduction ([por],
+    {!Por}). [`Parallel 1] (the default) runs in the calling domain in
+    a deterministic order. See the implementation header for the parity
+    guarantees with {!Memsim.Explore.reference} and the thread-safety
+    contract of the hooks. *)
 
 open Memsim
 
-type engine = [ `Dfs | `Parallel of int ]
+type engine = [ `Parallel of int ]
 
 (** A frontier-consistent cut of a [`Parallel 1] exploration, as plain
     data: every pending task as its path from the root (in pop order,
@@ -30,25 +29,24 @@ type checkpoint = {
   ck_deadlocks : Exec.elt list list;
 }
 
-(** Drop-in counterpart of {!Memsim.Explore.dfs} (same hooks, bounds
-    and result type). [por] and [symmetry] apply only to [`Parallel];
-    [check] and [monitor] must be pure under [`Parallel]; [on_final]
-    is serialized internally. With [por] the states/transitions counts
-    drop but all deadlocks, quiescent states and note-driven monitor
-    verdicts are preserved. With [symmetry] the visited set is keyed
-    on canonical (orbit-minimal) fingerprints, so one representative
-    per process-id orbit is expanded — sound for pid-symmetric
-    workloads (see {!Symmetry}); counterexample paths are recorded
-    verbatim and replay without de-canonicalization.
+(** Explore every interleaving from a configuration. [engine] defaults
+    to [`Parallel 1]; [`Parallel j] needs [j >= 1] (raises
+    [Invalid_argument] otherwise). [monitor] folds over every step of
+    every explored edge and [check] is evaluated once per distinct
+    state — both must be pure; [on_final] fires once per distinct
+    quiescent state and is serialized internally. [max_violations]
+    (default 3) and [max_deadlocks] (default unbounded) cap the
+    verdicts retained; [max_states] (default 1,000,000) and
+    [max_depth] (default 100,000) truncate the run. With [por] the
+    states/transitions counts drop but all deadlocks, quiescent states
+    and note-driven monitor verdicts are preserved.
     [expected_states] pre-sizes the visited set ({!Visited.create});
     [report_visited] receives the visited set's occupancy statistics
-    when the run finishes (ignored under [`Dfs], which has no sharded
-    set). Raises [Invalid_argument] for [~symmetry:true] under
-    [`Dfs].
+    when the run finishes.
 
     [tel] plugs a {!Telemetry.Hub.t} into the run: the engine
     registers its counters (expansions, children, dedup_hits,
-    por_prunes, sym_remaps, plus the frontier's steals/sleeps) and
+    por_prunes, bound_hits, plus the frontier's steals/sleeps) and
     live gauges (states, transitions, frontier, visited,
     visited_skew) on it, so a {!Telemetry.Sampler} can stream
     progress while the run is live. The hub must have at least as
@@ -58,18 +56,20 @@ type checkpoint = {
     discipline guarded by bench-smoke. Counter totals at
     [`Parallel 1] are exactly reproducible run to run.
 
-    [reorder_bound] explores the reorder-bounded under-approximation
-    (see {!Memsim.Explore.dfs}): edges whose successor carries more
-    than [K] reorderings in flight are pruned and counted in
-    [stats.bound_hits]; the per-process overtaken-flag bitsets are
-    mixed into the visited key ({!Fingerprint.budget_term}), so
-    bounded dedup is exact for the bounded transition system. Under
-    [por], an over-budget ample step falls back to the full filtered
-    expansion — the combination stays an under-approximation whose
-    saturation certificate ([bound_hits = 0] on a completed run) is
-    still exact. [reorder_bound] and [symmetry] are mutually exclusive
-    (raises [Invalid_argument]): the budget term is keyed by raw pids,
-    which orbit canonicalization scrambles.
+    [reorder_bound] explores the reorder-bounded under-approximation:
+    an edge whose successor carries more than [K] reorderings in
+    flight (pending writes overtaken by a later op of their owner or
+    by a younger commit — {!Memsim.Config.reorders_in_flight}) is
+    pruned and counted in [stats.bound_hits]. [K = 0] restricts
+    buffered models to their SC-consistent executions. The
+    per-process overtaken-flag bitsets are mixed into the visited key
+    ({!Fingerprint.budget_term}), so bounded dedup is exact for the
+    bounded transition system and the explored sets are monotone in
+    [K]. Under [por], an over-budget ample step falls back to the full
+    filtered expansion — the combination stays an under-approximation
+    whose saturation certificate ([bound_hits = 0] on a completed run)
+    is still exact. View-based models have no write buffer to meter
+    and raise [Invalid_argument].
 
     [checkpoint:(every, emit)] calls [emit] with a
     frontier-consistent {!checkpoint} each time roughly [every] more
@@ -85,7 +85,6 @@ val run :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?expected_states:int ->
   ?report_visited:(Visited.stats -> unit) ->
   ?max_states:int ->
@@ -107,7 +106,6 @@ val run_plain :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?expected_states:int ->
   ?max_states:int ->
   ?max_depth:int ->
@@ -118,14 +116,11 @@ val run_plain :
   unit Explore.result
 
 (** Reachable quiescent-state projections under [observe], sorted, plus
-    the exploration result. (Under [symmetry] only orbit
-    representatives are observed — keep it off when per-pid outcome
-    projections matter, e.g. litmus assertions.) *)
+    the exploration result. *)
 val reachable_outcomes :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?max_states:int ->
   ?max_depth:int ->
   ?reorder_bound:int ->
@@ -167,8 +162,7 @@ type 'm deepen_result = {
     and only the boundary states (those with a pruned edge) are
     re-seeded. Stops at the first violating level, at saturation, at
     truncation, or at [max_bound]. [max_states] caps the {e cumulative}
-    state count. Always [`Parallel jobs] (default 1); [symmetry] is
-    not available (see {!run}). *)
+    state count. Always [`Parallel jobs] (default 1). *)
 val deepen :
   ?tel:Telemetry.Hub.t ->
   ?jobs:int ->

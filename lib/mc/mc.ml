@@ -1,4 +1,4 @@
-(** [Mc] — the parallel, reduction-aware model checker.
+(** [Mc] — the model checker: one parallel, reduction-aware engine.
 
     Facade over the subsystem's pieces:
 
@@ -9,14 +9,14 @@
     - {!Deque}: Chase–Lev lock-free work-stealing deque;
     - {!Frontier}: per-worker deques + distributed termination;
     - {!Por}: independence relation and safe-step selection;
-    - {!Symmetry}: canonical fingerprints over process-id orbits;
     - {!Replay}: deterministic counterexample replay;
-    - {!Engine} (included here): [Mc.run] and friends, mirroring
-      {!Memsim.Explore.dfs} behind an [?engine] parameter.
+    - {!Engine} (included here): [Mc.run] and friends, audited against
+      the exact-key {!Memsim.Explore.reference}.
 
     Entry points:
-    [Mc.run ~engine:(`Parallel jobs) ~por:true ~symmetry:true ...],
-    [Mc.run_plain], [Mc.reachable_outcomes]. *)
+    [Mc.run ~engine:(`Parallel jobs) ~por:true ...] ([`Parallel 1] is
+    the default), [Mc.run_plain], [Mc.reachable_outcomes],
+    [Mc.deepen]. *)
 
 module Fingerprint = Fingerprint
 module Visited = Visited
@@ -24,6 +24,5 @@ module Deque = Deque
 module Frontier = Frontier
 module Por = Por
 module Replay = Replay
-module Symmetry = Symmetry
 
 include Engine

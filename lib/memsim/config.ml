@@ -155,22 +155,6 @@ module Mem = struct
       t;
     (!ha, !hb)
 
-  (** The lanes the memory would have if every bound register id were
-      renamed through [map_reg] (values untouched) — the symmetry
-      canonicalizer's view of committed memory under a process-id
-      permutation. Xor composition makes the result independent of
-      iteration order, so no sorting by renamed id is needed.
-      Identity mapping reproduces {!lanes}. *)
-  let lanes_mapped ~map_reg t =
-    let ha = ref 0 and hb = ref 0 in
-    iter_bound
-      (fun r v ->
-        let r' = map_reg r in
-        ha := !ha lxor Keyhash.token_a Keyhash.seed_a r' v;
-        hb := !hb lxor Keyhash.token_b Keyhash.seed_b r' v)
-      t;
-    (!ha, !hb)
-
   (** Componentwise equality (bound set and committed values). *)
   let equal a b =
     a.card = b.card
@@ -212,7 +196,7 @@ type pstate = {
   obs_len : int;  (** [List.length obs], maintained at append *)
   obs_ha : int;
       (** rolling lane over [obs] (oldest observation folded first),
-          updated O(1) by {!observe} — the log itself never needs
+          updated O(1) at append — the log itself never needs
           re-walking *)
   obs_hb : int;
   view : View.t;
@@ -224,22 +208,6 @@ type pstate = {
       (** view-based models only: the release view — this process's
           view at its last fence; the base every plain write attaches
           to its message. *)
-  obs_regs : (int * int) Reg.Map.t option;
-      (** [None] (the default) on the simulator hot path. [Some m]
-          once {!track_obs_regs} has been called on the initial
-          configuration: [m] maps each register this process has
-          observed to rolling lanes over the {e per-register}
-          subsequence of observed values, maintained alongside the
-          plain rolling lanes. The symmetry canonicalizer keys local
-          states on the xor of one token per (register, lane) pair —
-          order-canonical {e across} registers (so a pid permutation,
-          which reorders a process's interleaving of reads from
-          different banks, maps digests to digests) while
-          order-preserving {e within} each register. For a
-          deterministic program the per-register subsequences
-          reconstruct the global observation order (the program
-          decides which register it reads next from the values so
-          far), so the decomposition loses no discriminating power. *)
   mutable lka : int;
       (** cached lane [a] over this process's full state-key component
           (ops, last_read, final value, wb contents, obs); refreshed by
@@ -356,71 +324,6 @@ let scratch_lanes st =
   refresh_lanes
     { st with obs_len = List.length st.obs; obs_ha = !a; obs_hb = !b }
 
-(** The local-state lanes this pstate would cache if every register id
-    among its key components were renamed through [map_reg] — the
-    symmetry canonicalizer's per-process view under a process-id
-    permutation. Mirrors {!refresh_lanes} field for field, except for
-    the observation component: with {!track_obs_regs} active the
-    (order-sensitive, unattributed) rolling lanes are replaced by the
-    per-register digest of [obs_regs], whose register ids [map_reg]
-    renames — a permutation reorders how a process interleaves reads
-    from different banks, so the ordered log does not transform, but
-    the per-register subsequences do (and, programs being
-    deterministic, they pin the very same local state). Without
-    tracking, identity mapping reproduces [lka]/[lkb]. O(|wb| +
-    #observed registers). Does not mutate. *)
-let mapped_lanes ~map_reg st =
-  let a = ref Keyhash.seed_a and b = ref Keyhash.seed_b in
-  let feed x =
-    a := Keyhash.mix_a !a x;
-    b := Keyhash.mix_b !b x
-  in
-  feed st.ops;
-  (match st.last_read with
-  | None -> feed 0
-  | Some (r, v) ->
-      feed 1;
-      feed (map_reg r);
-      feed v);
-  (match st.prog with
-  | Program.Done v ->
-      feed 1;
-      feed v
-  | _ -> feed 0);
-  feed (Wbuf.size st.wb);
-  Wbuf.iter
-    (fun (e : Wbuf.entry) ->
-      feed (map_reg e.reg);
-      feed e.value)
-    st.wb;
-  feed st.obs_len;
-  (* view component: register ids inside view digests are NOT renamed —
-     symmetry reduction is rejected for view-based models ({!Mc}), so
-     here both views are always empty and identity reproduces
-     [lka]/[lkb], matching {!refresh_lanes}'s guard *)
-  let view_mix (x, y) =
-    if View.is_empty st.view && View.is_empty st.rel then (x, y)
-    else
-      ( Keyhash.mix_a (Keyhash.mix_a x (View.digest_a st.view))
-          (View.digest_a st.rel),
-        Keyhash.mix_b (Keyhash.mix_b y (View.digest_b st.view))
-          (View.digest_b st.rel) )
-  in
-  match st.obs_regs with
-  | None -> view_mix (Keyhash.mix_a !a st.obs_ha, Keyhash.mix_b !b st.obs_hb)
-  | Some m ->
-      (* per-register observation digest, one token per register,
-         xor-composed: invariant under the across-register reorderings
-         a pid permutation induces, remappable through [map_reg] *)
-      let oa = ref 0 and ob = ref 0 in
-      Reg.Map.iter
-        (fun r (ha, hb) ->
-          let r' = map_reg r in
-          oa := !oa lxor Keyhash.token_a Keyhash.seed_a r' ha;
-          ob := !ob lxor Keyhash.token_b Keyhash.seed_b r' hb)
-        m;
-      view_mix (Keyhash.mix_a !a !oa, Keyhash.mix_b !b !ob)
-
 (* Label-mask maintenance: bit [min p 62] tracks whether [p] is poised
    at a [Label]. For p < 62 the bit is exact (set and cleared); 62 and
    above share the top bit, which is only ever set (sticky), keeping
@@ -447,7 +350,6 @@ let initial_pstate prog =
       obs_hb = Keyhash.seed_b;
       view = View.empty;
       rel = View.empty;
-      obs_regs = None;
       lka = 0;
       lkb = 0;
       ctr = Metrics.zero;
@@ -527,55 +429,6 @@ let set_pstate t p st =
     procs = with_proc t p (refresh_lanes st);
     label_mask = mask_with t.label_mask p st.prog;
   }
-
-(** Extend the per-register observation lanes with value [v] observed
-    at [r] — a no-op ([None], no allocation) unless {!track_obs_regs}
-    switched tracking on. Exposed so the executor can fuse it into its
-    single-allocation pstate updates. *)
-let obs_extend obs_regs r v =
-  match obs_regs with
-  | None -> None
-  | Some m ->
-      let ha, hb =
-        match Reg.Map.find_opt r m with
-        | Some lanes -> lanes
-        | None -> (Keyhash.seed_a, Keyhash.seed_b)
-      in
-      Some (Reg.Map.add r (Keyhash.mix_a ha v, Keyhash.mix_b hb v) m)
-
-(** Append the observation of value [v] at register [r] to the
-    process's log, updating the rolling lanes in O(1) (plus the
-    per-register lanes when tracking is on). The only way [obs] may
-    grow. *)
-let observe st r v =
-  {
-    st with
-    obs = v :: st.obs;
-    obs_len = st.obs_len + 1;
-    obs_ha = Keyhash.mix_a st.obs_ha v;
-    obs_hb = Keyhash.mix_b st.obs_hb v;
-    obs_regs = obs_extend st.obs_regs r v;
-  }
-
-(** Switch on per-register observation tracking (see [obs_regs]) —
-    for the symmetry canonicalizer, which needs observation digests
-    that transform under register renaming. Only valid on a
-    configuration whose processes have not observed anything yet (the
-    raw log carries no register attribution to backfill from), i.e.
-    in practice on [C_init] before exploration starts. Plain state
-    keys and cached lanes are unaffected. *)
-let track_obs_regs t =
-  let procs =
-    Array.map
-      (fun st ->
-        if st.obs <> [] then
-          invalid_arg
-            "Config.track_obs_regs: observation log not empty — tracking \
-             must be enabled on the initial configuration";
-        { st with obs_regs = Some Reg.Map.empty })
-      t.procs
-  in
-  { t with procs }
 
 (** [step t p ?commit ?store st ctr] applies one execution step of [p]
     in a single pass: installs [st] (lanes refreshed, counters set to

@@ -57,11 +57,6 @@ module Mem : sig
   (** The same lanes recomputed from scratch (incrementality tests). *)
   val lanes_scratch : t -> int * int
 
-  (** Lanes with every bound register id renamed through [map_reg]
-      (values untouched) — the symmetry canonicalizer's view of memory
-      under a pid permutation; identity reproduces {!lanes}. *)
-  val lanes_mapped : map_reg:(Reg.t -> int) -> t -> int * int
-
   (** Componentwise equality (bound set and committed values). *)
   val equal : t -> t -> bool
 end
@@ -88,7 +83,7 @@ type pstate = {
           so together with [ops] this pins the local state — the model
           checker's state key *)
   ops : int;  (** operation steps executed (commits excluded) *)
-  obs_len : int;  (** [List.length obs], maintained by {!observe} *)
+  obs_len : int;  (** [List.length obs], maintained by the executor *)
   obs_ha : int;  (** rolling lane over [obs], oldest first *)
   obs_hb : int;
   view : View.t;
@@ -98,11 +93,6 @@ type pstate = {
   rel : View.t;
       (** view-based models only: the release view (this process's view
           at its last fence) — the base plain writes attach *)
-  obs_regs : (int * int) Reg.Map.t option;
-      (** [Some]: per-register rolling lanes over each register's
-          subsequence of observed values, for the symmetry
-          canonicalizer (see {!track_obs_regs}); [None] (default) on
-          the plain hot path — no cost, no behavior change *)
   mutable lka : int;
       (** cached lane over the full local key component; consistent for
           any pstate stored in a configuration (refreshed by
@@ -166,26 +156,6 @@ val pstate : t -> Pid.t -> pstate
 (** Install a process state, refreshing its cached lanes. *)
 val set_pstate : t -> Pid.t -> pstate -> t
 
-(** Append the observation of value [v] at register [r] to the log,
-    updating its rolling lanes in O(1). The only way [obs] may grow. *)
-val observe : pstate -> Reg.t -> int -> pstate
-
-(** Extend per-register observation lanes with an observation — [None]
-    in, [None] out for free when tracking is off. Exposed so the
-    executor can fuse the update into its single-allocation pstate
-    rebuilds; callers outside the executor want {!observe}. *)
-val obs_extend :
-  (int * int) Reg.Map.t option -> Reg.t -> int -> (int * int) Reg.Map.t option
-
-(** Switch on per-register observation tracking for every process —
-    required by the symmetry canonicalizer, whose observation digests
-    must transform under register renaming. Only valid on a
-    configuration where nothing has been observed yet (raises
-    [Invalid_argument] otherwise): the raw log has no register
-    attribution to backfill from. Plain state keys, fingerprints and
-    cached lanes are unaffected. *)
-val track_obs_regs : t -> t
-
 (** [step t p ?commit ?store st ctr]: one execution step of [p] in a
     single pass — install [st] (lanes refreshed, counters set to the
     caller-prebuilt [ctr]), install the updated modification-log store
@@ -200,15 +170,6 @@ val step :
     lanes from the raw list, then [lka]/[lkb]) — the reference for the
     incrementality regression tests. *)
 val scratch_lanes : pstate -> pstate
-
-(** The local-state lanes the pstate would cache if every register id
-    among its key components were renamed through [map_reg] — the
-    symmetry canonicalizer's per-process view under a pid permutation.
-    With {!track_obs_regs} active the observation component is the
-    per-register digest (whose register ids are renamed too); without
-    it, identity mapping reproduces [lka]/[lkb]. O(|wb| + #observed
-    registers). *)
-val mapped_lanes : map_reg:(Reg.t -> int) -> pstate -> int * int
 
 (** Committed value of a register (under view-based models: the
     location's log maximum, kept materialized by the executor). *)

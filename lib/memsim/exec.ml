@@ -130,7 +130,6 @@ let read_step cfg p (st : Config.pstate) ~wb r v from_wbuf ~prog =
       obs_len = st.Config.obs_len + 1;
       obs_ha = Keyhash.mix_a st.Config.obs_ha v;
       obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-      obs_regs = Config.obs_extend st.Config.obs_regs r v;
     }
   in
   let c = st.Config.ctr in
@@ -177,7 +176,6 @@ let rmw_op cfg p (st : Config.pstate) r ~op ~arg ~read ~prog =
       obs_len = st.Config.obs_len + 1;
       obs_ha = Keyhash.mix_a st.Config.obs_ha read;
       obs_hb = Keyhash.mix_b st.Config.obs_hb read;
-      obs_regs = Config.obs_extend st.Config.obs_regs r read;
     }
   in
   let c = st.Config.ctr in
@@ -340,7 +338,6 @@ let view_read_step cfg p (st : Config.pstate) r (m : Modlog.msg) ~prog =
       obs_len = st.Config.obs_len + 1;
       obs_ha = Keyhash.mix_a st.Config.obs_ha v;
       obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-      obs_regs = Config.obs_extend st.Config.obs_regs r v;
       view;
     }
   in
@@ -465,7 +462,6 @@ let view_rmw_step cfg p (st : Config.pstate) r ~op ~arg ~k =
       obs_len = st.Config.obs_len + 1;
       obs_ha = Keyhash.mix_a st.Config.obs_ha read;
       obs_hb = Keyhash.mix_b st.Config.obs_hb read;
-      obs_regs = Config.obs_extend st.Config.obs_regs r read;
       view;
       rel = view;
     }
@@ -523,8 +519,6 @@ let view_cas_step cfg p (st : Config.pstate) r ~expect ~update ~k =
       obs_len = st.Config.obs_len + 2;
       obs_ha = Keyhash.mix_a (Keyhash.mix_a st.Config.obs_ha read) ok;
       obs_hb = Keyhash.mix_b (Keyhash.mix_b st.Config.obs_hb read) ok;
-      obs_regs =
-        Config.obs_extend (Config.obs_extend st.Config.obs_regs r read) r ok;
       view;
       rel = view;
     }
@@ -570,7 +564,6 @@ let view_round_step cfg p (st : Config.pstate) regs pred k tuple =
             obs_len = st.Config.obs_len + 1;
             obs_ha = Keyhash.mix_a st.Config.obs_ha v;
             obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-            obs_regs = Config.obs_extend st.Config.obs_regs r v;
             view = acquire store st.Config.view m r;
           }
         in
@@ -805,8 +798,6 @@ let cas_op cfg p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
       obs_len = st.Config.obs_len + 2;
       obs_ha = Keyhash.mix_a (Keyhash.mix_a st.Config.obs_ha read) ok;
       obs_hb = Keyhash.mix_b (Keyhash.mix_b st.Config.obs_hb read) ok;
-      obs_regs =
-        Config.obs_extend (Config.obs_extend st.Config.obs_regs r read) r ok;
     }
   in
   let c = st.Config.ctr in

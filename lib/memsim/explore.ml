@@ -1,12 +1,6 @@
-(** Bounded-exhaustive state-space exploration.
-
-    Explores {e every} interleaving of op steps and commit steps from a
-    configuration, deduplicating states. Used to (a) verify mutual
-    exclusion and deadlock-freedom of locks for small process counts,
-    (b) find counterexample schedules for fence-stripped algorithms
-    under weak models, and (c) enumerate the reachable outcomes of
-    litmus tests per memory model — the operational "separation" of
-    SC ⊊ TSO ⊊ PSO.
+(** Exploration vocabulary shared by every explorer — stats, verdicts,
+    successor enumeration — plus {!reference}, the small exact-key
+    explorer that audits the [Mc] engine.
 
     Soundness of deduplication: programs are deterministic, so a
     process's local state is a function of its observation log; the
@@ -16,17 +10,17 @@
     table affect only accounting, not future behaviour, and are excluded.
     Spins are primitive (see {!Program.Spin}), so spin loops contribute
     no unbounded obs growth and the reachable space of terminating
-    algorithms is finite. Since the hot-path overhaul the key's
-    per-process part is carried by cached hash lanes ({!Statekey}), so
-    dedup is probabilistic with a ~2^-126 per-pair collision bound —
-    the budget DESIGN.md §6a accounts for — and a collision can only
-    prune (under-explore), never fabricate a violation.
+    algorithms is finite.
 
-    The caller may thread a {e monitor} over the steps of each explored
-    edge (e.g. tracking critical-section occupancy from [Note] steps).
-    The monitor state must be a function of the state key — true for
-    anything derived from program positions — otherwise deduplication
-    could skip monitor transitions. *)
+    The engine keys states on 126-bit fingerprints composed by
+    [Mc.Fingerprint] and stored in the sharded [Mc.Visited] set.
+    {!reference} keys them on the {!Statekey.to_string} byte string in
+    a plain [Hashtbl] instead: exact committed memory plus each
+    process's cached local-state lanes (DESIGN.md §6a), with none of
+    the engine's fingerprint composition, incremental updates or
+    concurrent claims. Slower, but independent, which makes it the
+    oracle the parity tests and fuzz oracle 2 compare the engine
+    against. *)
 
 type stats = {
   states : int;  (** distinct states visited *)
@@ -53,10 +47,6 @@ type 'm result = {
   violations : 'm violation list;  (** in discovery order, capped *)
   deadlocks : Exec.elt list list;  (** paths to stuck non-final states *)
 }
-
-(* The key components live in Statekey, shared with the parallel
-   checker's fingerprinting; here we only need the serialized form. *)
-let state_key = Statekey.to_string
 
 (* Schedule elements that can produce a model step right now.
    ([ops @ commits @ acc] is bounded appending: at most one op element
@@ -97,77 +87,20 @@ let successor_elts cfg : Exec.elt list =
   in
   go (n - 1) []
 
-(* Budget component of the bounded state key: each process's overtaken
-   flag bitset. Two configurations equal in every semantic component
-   but with different flag patterns have different admissible futures
-   under a reorder bound, so bounded dedup must separate them —
-   including the exact bitsets (not just the in-flight sum) keeps the
-   bounded exploration exact for its own transition system, which the
-   monotonicity property (K ⊆ K+1) relies on. Unbounded runs never
-   call this: their keys stay byte-identical to the historical ones. *)
-let budget_suffix cfg =
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf "!rb:";
-  Array.iter
-    (fun (st : Config.pstate) ->
-      Buffer.add_string buf (string_of_int (Wbuf.overtaken_bits st.Config.wb));
-      Buffer.add_char buf ',')
-    cfg.Config.procs;
-  Buffer.contents buf
-
-let dfs (type m) ?tel ?(max_states = 1_000_000) ?(max_depth = 100_000)
-    ?(max_violations = 3) ?(max_deadlocks = max_int) ?reorder_bound
+(* Depth-first search with entry-time dedup on exact string keys. Each
+   state is normalized (pending labels flushed, their notes monitored)
+   on entry, claimed once, checked, and expanded: one transition per
+   successor element. The root is treated like any other entry. *)
+let reference (type m) ?(max_states = max_int)
     ?(check = fun (_ : Config.t) -> None)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m result =
-  (match reorder_bound with
-  | Some k when k < 0 -> Fmt.invalid_arg "Explore.dfs: reorder_bound %d" k
-  | Some _ when Memory_model.view_based cfg0.Config.model ->
-      (* the budget counts overtaken write-buffer entries; view-based
-         models have no buffer, and their reordering freedom (mid-log
-         insertion) is not the quantity the bound meters — reject
-         rather than silently explore everything (DESIGN.md §6f) *)
-      Fmt.invalid_arg
-        "Explore.dfs: --reorder-bound is not supported under %s (view-based \
-         models have no write buffer to meter)"
-        (Memory_model.to_string cfg0.Config.model)
-  | _ -> ());
-  let visited : (_, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
   let states = ref 0 and transitions = ref 0 and truncated = ref false in
-  let bound_hits = ref 0 in
-  (* Telemetry mirrors the parallel engine's counter vocabulary so
-     dashboards and the NDJSON consumer see one schema regardless of
-     engine. With no hub supplied the bumps land on a private hub —
-     plain int adds on padded cells, nothing more. Gauges read the
-     refs racily from the sampler domain; a stale int is fine. *)
-  let tel =
-    match tel with
-    | Some h -> h
-    | None -> Telemetry.Hub.create ~workers:1 ()
-  in
-  let c_expand = Telemetry.Hub.counter tel "expansions" in
-  let c_children = Telemetry.Hub.counter tel "children" in
-  let c_dedup = Telemetry.Hub.counter tel "dedup_hits" in
-  let c_bound = Telemetry.Hub.counter tel "bound_hits" in
-  Telemetry.Hub.gauge tel "states" (fun () -> float_of_int !states);
-  Telemetry.Hub.gauge tel "transitions" (fun () -> float_of_int !transitions);
-  Telemetry.Hub.gauge tel "visited" (fun () ->
-      float_of_int (Hashtbl.length visited));
-  let violations = ref [] and deadlocks = ref [] and ndeadlocks = ref 0 in
-  let record_violation v =
-    (* append keeps discovery order; bounded by [max_violations] *)
-    if List.length !violations < max_violations then
-      violations := !violations @ [ v ]
-  in
-  let record_deadlock path =
-    (* capped like violations: a large truncated run can reach stuck
-       states from an unbounded number of paths, and each path retains
-       its whole schedule *)
-    if !ndeadlocks < max_deadlocks then begin
-      incr ndeadlocks;
-      deadlocks := path :: !deadlocks
-    end
+  let violations = ref [] and deadlocks = ref [] in
+  let violation message rev_path m =
+    violations := { message; path = List.rev rev_path; monitor = m } :: !violations
   in
   let rec monitor_steps m = function
     | [] -> Ok m
@@ -176,99 +109,53 @@ let dfs (type m) ?tel ?(max_states = 1_000_000) ?(max_depth = 100_000)
         | Ok m -> monitor_steps m rest
         | Error _ as e -> e)
   in
-  let rec go cfg m path depth =
-    if !states >= max_states || List.length !violations >= max_violations then
-      truncated := true
-    else begin
-      (* normalize: consume pending labels so annotation boundaries do
-         not split states, feeding the notes to the monitor *)
+  let rec go cfg m rev_path =
+    if !states >= max_states then truncated := true
+    else
       let notes, cfg = Exec.flush_labels cfg in
       match monitor_steps m notes with
-      | Error message ->
-          record_violation { message; path = List.rev path; monitor = m }
+      | Error message -> violation message rev_path m
       | Ok m ->
-          let key =
-            match reorder_bound with
-            | None -> state_key cfg
-            | Some _ ->
-                (* the budget (flag bitsets) is part of the bounded
-                   state: two paths reaching the same semantic state
-                   with different reorderings in flight have different
-                   admissible futures *)
-                state_key cfg ^ budget_suffix cfg
-          in
-          if Hashtbl.mem visited key then
-            Telemetry.Cells.incr c_dedup ~worker:0
-          else begin
+          let key = Statekey.to_string cfg in
+          if not (Hashtbl.mem visited key) then begin
             Hashtbl.add visited key ();
             incr states;
-            Telemetry.Cells.incr c_expand ~worker:0;
-            (match check cfg with
-            | Some message ->
-                record_violation { message; path = List.rev path; monitor = m }
-            | None -> ());
+            Option.iter (fun msg -> violation msg rev_path m) (check cfg);
             if Config.quiescent cfg then on_final cfg m
-            else if depth >= max_depth then truncated := true
-            else begin
-              let elts = successor_elts cfg in
-              if elts = [] then record_deadlock (List.rev path)
-              else
-                List.iter
-                  (fun elt ->
-                    let steps, cfg' = Exec.exec_elt cfg elt in
-                    match reorder_bound with
-                    | Some k when Config.reorders_in_flight cfg' > k ->
-                        (* over budget: the bounded transition system
-                           excludes this edge entirely — not counted as
-                           a transition, not monitored. A recorded hit
-                           voids the saturation certificate. *)
-                        incr bound_hits;
-                        Telemetry.Cells.incr c_bound ~worker:0
-                    | _ -> (
-                        incr transitions;
-                        Telemetry.Cells.incr c_children ~worker:0;
-                        match monitor_steps m steps with
-                        | Error message ->
-                            record_violation
-                              {
-                                message;
-                                path = List.rev (elt :: path);
-                                monitor = m;
-                              }
-                        | Ok m' -> go cfg' m' (elt :: path) (depth + 1)))
-                  elts
-            end
+            else
+              match successor_elts cfg with
+              | [] -> deadlocks := List.rev rev_path :: !deadlocks
+              | elts ->
+                  List.iter
+                    (fun elt ->
+                      incr transitions;
+                      let steps, cfg' = Exec.exec_elt cfg elt in
+                      match monitor_steps m steps with
+                      | Error message -> violation message (elt :: rev_path) m
+                      | Ok m' -> go cfg' m' (elt :: rev_path))
+                    elts
           end
-    end
   in
-  go cfg0 init [] 0;
+  go cfg0 init [];
   {
     stats =
       {
         states = !states;
         transitions = !transitions;
         truncated = !truncated;
-        bound_hits = !bound_hits;
+        bound_hits = 0;
       };
-    violations = !violations;
+    violations = List.rev !violations;
     deadlocks = !deadlocks;
   }
 
-(** Exploration without a monitor: just reachability. *)
-let dfs_plain ?tel ?max_states ?max_depth ?reorder_bound ?on_final cfg =
-  let on_final = Option.map (fun f cfg (_ : unit) -> f cfg) on_final in
-  dfs ?tel ?max_states ?max_depth ?reorder_bound
-    ~monitor:(fun () _ -> Ok ())
-    ~init:() ?on_final cfg
-
-(** Collect the set of reachable final-configuration observations, where
-    [observe] projects whatever the caller cares about (e.g. final
-    register values for a litmus test). *)
-let reachable_outcomes ?max_states ?max_depth ?reorder_bound ~observe cfg =
+let reference_outcomes ?max_states ~observe cfg =
   let outcomes = Hashtbl.create 16 in
   let result =
-    dfs_plain ?max_states ?max_depth ?reorder_bound
-      ~on_final:(fun final -> Hashtbl.replace outcomes (observe final) ())
+    reference ?max_states
+      ~monitor:(fun () _ -> Ok ())
+      ~init:()
+      ~on_final:(fun final () -> Hashtbl.replace outcomes (observe final) ())
       cfg
   in
   let all = Hashtbl.fold (fun k () acc -> k :: acc) outcomes [] in

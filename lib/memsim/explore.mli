@@ -1,9 +1,10 @@
-(** Bounded-exhaustive state-space exploration with sound
-    deduplication: every interleaving of op and commit steps, states
-    keyed on committed memory plus per-process observation logs (a
-    process's local state is a function of its observations, programs
-    being deterministic). Spins are primitive, so state spaces of
-    terminating algorithms are finite. *)
+(** Exploration vocabulary shared by every explorer (stats, verdicts,
+    successor enumeration) and {!reference}, the exact-key explorer the
+    [Mc] engine is audited against. States are keyed on committed
+    memory plus per-process observation logs (a process's local state
+    is a function of its observations, programs being deterministic).
+    Spins are primitive, so state spaces of terminating algorithms are
+    finite. *)
 
 type stats = {
   states : int;  (** distinct states visited *)
@@ -29,52 +30,30 @@ type 'm result = {
   deadlocks : Exec.elt list list;  (** paths to stuck non-final states *)
 }
 
-(** Serializable state key (exposed for tests); alias of
-    {!Statekey.to_string}, which enumerates the key components shared
-    with the parallel checker's fingerprinting. *)
-val state_key : Config.t -> string
-
 (** Elements that can produce a model step right now, including commits
     of finished processes' leftover buffers. *)
 val successor_elts : Config.t -> Exec.elt list
 
-(** Depth-first exploration. The [monitor] folds over every step of
-    every explored edge (e.g. tracking critical-section occupancy from
-    notes); its state must be a function of the state key, or
-    deduplication could skip transitions. [check] is an invariant
-    evaluated once per distinct state; returning [Some msg] records a
-    violation with the reproducing schedule. [on_final] fires once per
-    distinct quiescent state. [max_deadlocks] caps how many deadlock
-    paths are retained (each keeps its whole schedule; the default
-    keeps every one, the historical behaviour).
+(** The reference explorer: depth-first, every interleaving of op and
+    commit steps, states deduplicated on their {!Statekey.to_string}
+    byte string in a plain [Hashtbl] — none of the engine's
+    fingerprint composition, incremental updates or concurrent claims,
+    which makes it the independent oracle for the [Mc] engine's parity
+    tests and fuzz oracle 2. It claims, counts and expands exactly the
+    states and transitions [Mc.run] does without reductions, and finds
+    the same violation and deadlock sets.
 
-    [reorder_bound] explores the {e reorder-bounded} under-
-    approximation: an edge whose successor carries more than [K]
-    reorderings in flight (pending writes overtaken by a later op of
-    their owner or by a younger commit — {!Config.reorders_in_flight})
-    is pruned and counted in [stats.bound_hits]. [K = 0] restricts
-    buffered models to their SC-consistent executions; [K ≥] the
-    maximum total buffer occupancy can never prune, so the run equals
-    the unbounded one. The per-process overtaken-flag bitsets join the
-    state key (a budget is path state), so bounded dedup is exact for
-    the bounded transition system and the explored sets are monotone
-    in [K]. [bound_hits = 0] on a completed run certifies saturation:
-    the verdict is exact. Oldest-first drains never charge, so a bound
-    introduces no new deadlocks.
-
-    [tel] plugs a {!Telemetry.Hub.t} into the run: the explorer
-    registers the engine-shared counter vocabulary (expansions,
-    children, dedup_hits, bound_hits) and live gauges (states,
-    transitions, visited) for a {!Telemetry.Sampler} to stream.
-    Without it the bumps land on a private hub — plain int adds on
-    pre-allocated cells, nothing observable. *)
-val dfs :
-  ?tel:Telemetry.Hub.t ->
+    [monitor] folds over every step of every explored edge (e.g.
+    critical-section occupancy from notes); its state must be a
+    function of the state key, or deduplication could skip
+    transitions. [check] is evaluated once per distinct state;
+    [Some msg] records a violation with its schedule. [on_final] fires
+    once per distinct quiescent state. [max_states] (default
+    unbounded) stops the search with [truncated] set. There is no
+    telemetry, reorder bound, depth cap, violation cap or deadlock
+    cap: runs are meant to be small. *)
+val reference :
   ?max_states:int ->
-  ?max_depth:int ->
-  ?max_violations:int ->
-  ?max_deadlocks:int ->
-  ?reorder_bound:int ->
   ?check:(Config.t -> string option) ->
   monitor:('m -> Step.t -> ('m, string) Stdlib.result) ->
   init:'m ->
@@ -82,22 +61,10 @@ val dfs :
   Config.t ->
   'm result
 
-(** Exploration without a monitor. *)
-val dfs_plain :
-  ?tel:Telemetry.Hub.t ->
+(** Reachable quiescent-state projections under [observe], sorted, plus
+    the reference exploration's result. *)
+val reference_outcomes :
   ?max_states:int ->
-  ?max_depth:int ->
-  ?reorder_bound:int ->
-  ?on_final:(Config.t -> unit) ->
-  Config.t ->
-  unit result
-
-(** Set of reachable quiescent-state projections under [observe],
-    sorted, plus the exploration result. *)
-val reachable_outcomes :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?reorder_bound:int ->
   observe:(Config.t -> 'a) ->
   Config.t ->
   'a list * unit result

@@ -112,7 +112,7 @@ let may_commit t wb r =
     of buffer order — i.e. does an older pending write (necessarily to
     another location, under either discipline) still sit ahead of it?
     These are exactly the commits the reorder-budget accounting
-    ({!Wbuf.commit} marking, [Explore.dfs ?reorder_bound]) charges:
+    ({!Wbuf.commit} marking, [Mc.run ?reorder_bound]) charges:
     never under [Sc] (no buffer) or [Tso] (head-only commits), and
     precisely the non-head commits [commit_candidates] enumerates
     under [Pso]/[Rmo]. *)

@@ -14,8 +14,8 @@
     Both consumers go through {!iter}, which feeds the key as a flat,
     self-delimiting stream of integers:
 
-    - {!to_string} serializes the stream into a byte string, the key of
-      the sequential {!Explore.dfs} hash table;
+    - {!to_string} serializes the stream into a byte string, the exact
+      key of the {!Explore.reference} explorer's hash table;
     - [Mc.Fingerprint.of_config] composes the same cached lanes into a
       compact 126-bit hash for the parallel checker's sharded visited
       set — by xor, so it can be {e updated} in O(1) from the dirty
@@ -33,8 +33,8 @@
     The key is therefore probabilistic in its local part: two distinct
     local states collide only if both independent lanes collide
     (~2^-126 per pair). This is the same trade the parallel checker's
-    fingerprint set has made since PR 1, now shared by the sequential
-    DFS; memory stays exact, so two states with equal keys agree on
+    fingerprint set makes, shared by the reference explorer's string
+    keys; memory stays exact, so two states with equal keys agree on
     all committed values. Stream shape: [cardinal; (r, v)...;
     (p, lka, lkb)...] with fixed field order, so equal component
     tuples give equal streams. *)
@@ -106,23 +106,3 @@ let mem_lanes_scratch (cfg : Config.t) =
   | Some s ->
       let sa, sb = Modlog.lanes_scratch s in
       (mha lxor sa, mhb lxor sb)
-
-(** Per-pid lane extraction under a register renaming — the symmetry
-    canonicalizer's building blocks (see [Mc.Symmetry]). A pid
-    permutation π acts on a configuration by relabelling processes
-    {e and} renaming each process-owned register to its image's bank;
-    these compute the lanes of that renamed view without building it.
-    Register ids occur in the local key only through the last-read
-    pair and the write-buffer entries — observation logs are raw
-    values and pid-free — so [proc_lanes_mapped] is O(|wb| + 1), and
-    memory lanes are xor-composed, hence renaming-order-free. The
-    identity mapping reproduces {!proc_lanes} / {!mem_lanes}. *)
-let proc_lanes_mapped ~map_reg (st : Config.pstate) =
-  Config.mapped_lanes ~map_reg st
-
-let mem_lanes_mapped ~map_reg (cfg : Config.t) =
-  (* store lanes are composed unmapped: symmetry reduction is rejected
-     for view-based models ([Mc]), so the store is always [None] when
-     a non-identity renaming reaches here, and identity must reproduce
-     {!mem_lanes} *)
-  with_store_lanes cfg (Config.Mem.lanes_mapped ~map_reg cfg.Config.mem)

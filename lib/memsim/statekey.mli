@@ -28,13 +28,3 @@ val proc_lanes_scratch : Config.pstate -> int * int
 val mem_lanes : Config.t -> int * int
 
 val mem_lanes_scratch : Config.t -> int * int
-
-(** Per-pid lane extraction under a register renaming, for symmetry
-    canonicalization: the lanes of a process state / the committed
-    memory with every register id passed through [map_reg] (values
-    untouched). Identity reproduces {!proc_lanes} / {!mem_lanes};
-    O(|wb| + 1) and O(bound registers) respectively. *)
-val proc_lanes_mapped :
-  map_reg:(Reg.t -> int) -> Config.pstate -> int * int
-
-val mem_lanes_mapped : map_reg:(Reg.t -> int) -> Config.t -> int * int

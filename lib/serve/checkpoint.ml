@@ -5,7 +5,11 @@
     [null] for the no-register case, fingerprints as their two lanes.
     Everything else in the cut is counters and strings. A resumed run
     replays the pending paths deterministically, so the bytes here are
-    the whole exploration state — no process image, no heap. *)
+    the whole exploration state — no process image, no heap.
+
+    The fingerprints only mean something to the exploration that
+    produced them, so every cut carries an [identity] field naming that
+    exploration, and {!load} refuses a cut whose identity differs. *)
 
 open Memsim
 
@@ -32,7 +36,15 @@ let fp_of_json = function
   | Json.List [ Json.Int a; Json.Int b ] -> Ok { Mc.Fingerprint.a; b }
   | _ -> Error "fingerprint: expected [a, b]"
 
-let to_json (c : Mc.checkpoint) : Json.t =
+(* Version of the visited-set keys a cut stores ([Mc.Fingerprint] over
+   [Memsim.Statekey]): bump it whenever keying changes, so cuts written
+   by older code are refused rather than resumed. *)
+let key_format = 1
+
+let identity ~spec =
+  Digest.to_hex (Digest.string (Printf.sprintf "keys-v%d:%s" key_format spec))
+
+let to_json ~identity (c : Mc.checkpoint) : Json.t =
   Json.Obj
     [
       ("type", Json.String "checkpoint");
@@ -51,6 +63,7 @@ let to_json (c : Mc.checkpoint) : Json.t =
                  ])
              c.Mc.ck_violations) );
       ("deadlocks", Json.List (List.map path_to_json c.Mc.ck_deadlocks));
+      ("identity", Json.String identity);
     ]
 
 (* Sequence [Result] over a list, keeping the first error. *)
@@ -64,12 +77,21 @@ let rec map_r f = function
 let path_of_json j =
   match Json.get_list j with Error e -> Error e | Ok xs -> map_r elt_of_json xs
 
-let of_json (j : Json.t) : (Mc.checkpoint, string) result =
+let of_json ~identity (j : Json.t) : (Mc.checkpoint, string) result =
   let ( let* ) = Result.bind in
   let* () =
     match Json.member "type" j with
     | Some (Json.String "checkpoint") -> Ok ()
     | _ -> Error "not a checkpoint record"
+  in
+  let* () =
+    match Json.member "identity" j with
+    | Some (Json.String id) when id = identity -> Ok ()
+    | Some (Json.String id) ->
+        Error
+          (Printf.sprintf "checkpoint identity mismatch: cut is %s, job is %s"
+             id identity)
+    | _ -> Error "checkpoint has no identity"
   in
   let* ck_states = Json.field j "states" Json.get_int in
   let* ck_transitions = Json.field j "transitions" Json.get_int in
@@ -104,15 +126,15 @@ let of_json (j : Json.t) : (Mc.checkpoint, string) result =
       ck_deadlocks;
     }
 
-let save ~path (c : Mc.checkpoint) =
+let save ~identity ~path (c : Mc.checkpoint) =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  output_string oc (Json.to_string (to_json c));
+  output_string oc (Json.to_string (to_json ~identity c));
   output_char oc '\n';
   close_out oc;
   Sys.rename tmp path
 
-let load ~path =
+let load ~identity ~path =
   match
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -121,4 +143,5 @@ let load ~path =
     s
   with
   | exception Sys_error msg -> Error msg
-  | s -> ( match Json.parse s with Error e -> Error e | Ok j -> of_json j)
+  | s -> (
+      match Json.parse s with Error e -> Error e | Ok j -> of_json ~identity j)

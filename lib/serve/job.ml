@@ -237,9 +237,16 @@ let run ?sink ?checkpoint ?on_checkpoint (t : t) : outcome =
             | None -> (None, None, None)
             | Some (every, dir) ->
                 let path = Filename.concat dir (t.id ^ ".ckpt") in
+                (* the file is found by id alone: the identity ties it to
+                   this exact spec, so a re-spooled id with another lock,
+                   model, n or bound starts fresh instead of resuming
+                   foreign fingerprints *)
+                let identity =
+                  Checkpoint.identity ~spec:(Json.to_string (to_json t))
+                in
                 let resume =
                   if Sys.file_exists path then
-                    match Checkpoint.load ~path with
+                    match Checkpoint.load ~identity ~path with
                     | Ok c ->
                         emit sink ~kind:"resume"
                           (tag
@@ -254,7 +261,7 @@ let run ?sink ?checkpoint ?on_checkpoint (t : t) : outcome =
                   else None
                 in
                 let emit_ck (cut : Mc.checkpoint) =
-                  Checkpoint.save ~path cut;
+                  Checkpoint.save ~identity ~path cut;
                   emit sink ~kind:"checkpoint"
                     (tag
                        [

@@ -21,37 +21,14 @@ exception Fail of string
 (* Printer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Same escape set as Telemetry.Sink.escape, so the two printers agree
-   byte for byte on shared strings. *)
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
+(* Scalars and keys go through Telemetry.Sink's printer, so the two
+   wire formats agree byte for byte. *)
 let rec add b = function
   | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (string_of_bool v)
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f ->
-      Buffer.add_string b
-        (if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity
-         then "null"
-         else if Float.is_integer f && Float.abs f < 1e15 then
-           Printf.sprintf "%.0f" f
-         else Printf.sprintf "%.6g" f)
-  | String s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
+  | Bool v -> Telemetry.Sink.add_value b (B v)
+  | Int n -> Telemetry.Sink.add_value b (I n)
+  | Float f -> Telemetry.Sink.add_value b (F f)
+  | String s -> Telemetry.Sink.add_value b (S s)
   | List xs ->
       Buffer.add_char b '[';
       List.iteri
@@ -65,9 +42,8 @@ let rec add b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\":";
+          Telemetry.Sink.add_value b (S k);
+          Buffer.add_char b ':';
           add b v)
         fields;
       Buffer.add_char b '}'

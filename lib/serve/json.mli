@@ -1,7 +1,7 @@
-(** Minimal JSON: the daemon's wire format. One hand-rolled
-    parser/printer pair keeps the library dependency-free (the repo
-    bakes in no JSON package) and byte-deterministic — the printer
-    escapes exactly like {!Telemetry.Sink}, so job, ack and checkpoint
+(** Minimal JSON: the daemon's wire format. A hand-rolled parser keeps
+    the library dependency-free (the repo bakes in no JSON package);
+    the printer is byte-deterministic and prints every scalar and key
+    through {!Telemetry.Sink.add_value}, so job, ack and checkpoint
     records can be pinned as golden bytes next to the NDJSON ones. *)
 
 type t =
@@ -20,8 +20,8 @@ type t =
 val parse : string -> (t, string) result
 
 (** Compact printing: no whitespace, object fields in list order,
-    strings escaped exactly as {!Telemetry.Sink} escapes them (quote,
-    backslash, newline/return/tab, [u00XX] for other control bytes).
+    scalars printed by {!Telemetry.Sink.add_value} (strings escaped by
+    {!Telemetry.Sink.escape}).
     [parse (to_string v)] round-trips every value whose floats are
     finite. *)
 val to_string : t -> string

@@ -255,14 +255,6 @@ let lock_problem ?(rounds = 1) ?(max_states = 400_000) ?(prefilter = Some 2)
 (* Litmus problems                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let litmus_observe regs (test : Litmus.Test.t) final : Litmus.Test.outcome =
-  {
-    Litmus.Test.returns =
-      List.init (Config.nprocs final) (fun p ->
-          Option.value ~default:(-1) (Config.final_value final p));
-    finals = List.map (Config.read_mem final) (test.Litmus.Test.observed regs);
-  }
-
 let litmus_problem ?(max_states = 400_000) ?(prefilter = Some 2) ~model
     (test : Litmus.Test.t) : problem =
   (* same gate as [lock_problem]: no reorder-bounded prefilter and no
@@ -300,7 +292,7 @@ let litmus_problem ?(max_states = 400_000) ?(prefilter = Some 2) ~model
         ~check:(fun c ->
           if
             Config.quiescent c
-            && not (List.mem (litmus_observe regs t c) spec)
+            && not (List.mem (Litmus.Test.observe t regs c) spec)
           then Some "outcome outside the fully fenced spec"
           else None)
         ~monitor:(fun () _ -> Ok ())

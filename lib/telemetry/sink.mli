@@ -3,6 +3,16 @@
 
 type value = I of int | F of float | S of string | B of bool
 
+(** JSON string escaping into a buffer: quote, backslash,
+    newline/return/tab, [\u00XX] for other control bytes. The one
+    escaper every JSON printer in the repo uses. *)
+val escape : Buffer.t -> string -> unit
+
+(** Append one scalar as JSON: ints verbatim; floats whole below 1e15
+    as [%.0f], else [%.6g], non-finite as [null]; strings quoted and
+    {!escape}d. *)
+val add_value : Buffer.t -> value -> unit
+
 type t
 
 val create : string -> t

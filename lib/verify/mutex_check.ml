@@ -23,9 +23,6 @@ type verdict = {
   nprocs : int;
   rounds : int;
   holds : bool;
-  symmetry : bool;
-      (** checked under pid-symmetry reduction — see {!check}: [holds]
-          then means "no violation in the symmetry-reduced subset" *)
   reorder_bound : int option;
       (** the (final) reorder bound the run was checked under; [None]
           means unbounded *)
@@ -48,12 +45,11 @@ let pp_verdict ppf v =
     v.nprocs v.rounds
     (if v.holds then
        (* honest accounting: a clean pass below saturation is a subset
-          verdict and must never print as a plain OK — mirror the
-          [--symmetry] wording discipline *)
+          verdict and must never print as a plain OK *)
        match v.reorder_bound with
        | Some k when not v.bound_exact ->
            Fmt.str "NO VIOLATION FOUND (reorder-bound %d subset)" k
-       | _ -> if v.symmetry then "OK (symmetry-reduced subset)" else "OK"
+       | _ -> "OK"
      else if v.me_violation <> None then "MUTUAL EXCLUSION VIOLATED"
      else if v.deadlock <> None then "DEADLOCK"
      else "LOST UPDATE")
@@ -62,7 +58,7 @@ let pp_verdict ppf v =
 
 (** Monitor: the set of processes currently inside a critical section;
     errors out the moment two overlap. Monitor state is a function of
-    program positions, as {!Memsim.Explore.dfs} requires. *)
+    program positions, as deduplication requires (see {!Mc.run}). *)
 let cs_monitor occupancy (step : Step.t) =
   match step with
   | Step.Note { p; text = "cs:enter" } ->
@@ -112,10 +108,8 @@ let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
   (lock, counter, Config.make ?compile ~model ~layout programs)
 
 let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
-    ?report_visited ?(engine = `Dfs) ?(por = false) ?(symmetry = false)
-    ?reorder_bound ?checkpoint ?resume ~model factory ~nprocs : verdict =
-  if symmetry && reorder_bound <> None then
-    invalid_arg "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive";
+    ?report_visited ?(engine = `Parallel 1) ?(por = false) ?reorder_bound
+    ?checkpoint ?resume ~model factory ~nprocs : verdict =
   if (checkpoint <> None || resume <> None) && reorder_bound = Some `Deepen then
     invalid_arg "Mutex_check.check: ~checkpoint/~resume do not apply to `Deepen";
   let lock, counter, cfg = workload ?compile ~model factory ~nprocs ~rounds in
@@ -124,31 +118,23 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     if Config.read_mem final counter <> nprocs * rounds then
       lost_update := true
   in
-  (* `Dfs is the historical sequential explorer; `Parallel routes
-     through the Mc engine. The checker's monitor is note-driven, so
-     POR preserves its verdicts (see Mc.Por). Symmetry guarantees
-     less: the passage loop is shared, but the lock factories embed
-     pid-dependent tie-breaks (bakery's [slot < j]), so the workload
-     is only near-symmetric, the quotient is not closed, and the
-     reduced run explores a subset of the reachable state classes —
-     a reported violation is a real reachable one, but an all-clear
-     is an under-approximation, surfaced in the verdict as
-     "OK (symmetry-reduced subset)" (see Mc.Symmetry). A reorder
-     bound is the same kind of under-approximation, except it can
-     {e certify its own completeness}: zero bound hits on a completed
-     run means nothing was pruned and the verdict is exact. *)
+  (* The checker's monitor is note-driven, so POR preserves its
+     verdicts (see Mc.Por). A reorder bound is an under-approximation
+     that can {e certify its own completeness}: zero bound hits on a
+     completed run means nothing was pruned and the verdict is
+     exact. *)
   let result, bound, bound_exact, deepen_levels =
     match reorder_bound with
     | None ->
         let r =
-          Mc.run ?tel ~engine ~por ~symmetry ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ?checkpoint ?resume
             ~monitor:cs_monitor ~init:Pid.Set.empty ~on_final cfg
         in
         (r, None, true, [])
     | Some (`K k) ->
         let r =
-          Mc.run ?tel ~engine ~por ~symmetry ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~reorder_bound:k
             ?checkpoint ?resume ~monitor:cs_monitor ~init:Pid.Set.empty
             ~on_final cfg
@@ -160,7 +146,7 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
         in
         (r, Some k, exact, [])
     | Some `Deepen ->
-        let jobs = match engine with `Dfs -> 1 | `Parallel j -> j in
+        let (`Parallel jobs) = engine in
         let d =
           Mc.deepen ?tel ~jobs ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~monitor:cs_monitor
@@ -182,7 +168,6 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     model;
     nprocs;
     rounds;
-    symmetry;
     reorder_bound = bound;
     bound_exact;
     deepen_levels;

@@ -15,11 +15,6 @@ type verdict = {
   nprocs : int;
   rounds : int;
   holds : bool;
-  symmetry : bool;
-      (** checked under pid-symmetry reduction: exploration was an
-          under-approximation (see {!check}), so [holds = true] means
-          "no violation found in the symmetry-reduced subset" — printed
-          by {!pp_verdict} as ["OK (symmetry-reduced subset)"] *)
   reorder_bound : int option;
       (** the (final) reorder bound checked under; [None] = unbounded *)
   bound_exact : bool;
@@ -49,29 +44,20 @@ val workload :
   ?compile:bool -> model:Memory_model.t -> Locks.Lock.factory -> nprocs:int ->
   rounds:int -> Locks.Lock.t * Reg.t * Config.t
 
-(** [engine] selects the explorer: [`Dfs] (default) is the historical
-    sequential {!Memsim.Explore.dfs}; [`Parallel j] runs the [Mc]
-    engine over [j] domains, optionally with partial-order reduction
-    ([por]) and/or process-id symmetry reduction ([symmetry]; requires
-    [`Parallel]). The occupancy monitor is note-driven, so POR
-    preserves its verdicts while visiting fewer states. Symmetry does
-    {e not}: the lock workloads are only near-symmetric (pid-dependent
-    tie-breaks live in program text, outside the canonical key), so
-    under [symmetry] the run explores a subset of the reachable state
-    classes — any violation reported is real, but a clean pass is an
-    under-approximate verdict, flagged in {!verdict.symmetry} and
-    printed as ["OK (symmetry-reduced subset)"]. [expected_states]
-    pre-sizes the parallel engine's visited set; [report_visited]
-    receives its occupancy statistics when the run finishes (ignored
-    under [`Dfs]). [tel] plugs a {!Telemetry.Hub.t} into the run for
-    live progress and NDJSON stats (see {!Mc.run}).
+(** [engine] selects the [Mc] engine's domain count: [`Parallel 1]
+    (default) or [`Parallel j], optionally with partial-order reduction
+    ([por]). The occupancy monitor is note-driven, so POR preserves its
+    verdicts while visiting fewer states. [expected_states] pre-sizes
+    the engine's visited set; [report_visited] receives its occupancy
+    statistics when the run finishes. [tel] plugs a
+    {!Telemetry.Hub.t} into the run for live progress and NDJSON stats
+    (see {!Mc.run}).
 
     [reorder_bound] checks the reorder-bounded under-approximation:
     [`K k] with a fixed budget (the verdict records whether the run
     certified saturation and is therefore exact), [`Deepen] with
-    iterative deepening from 0 ({!Mc.deepen}; [`Dfs] deepens on one
-    domain). Mutually exclusive with [symmetry] (raises
-    [Invalid_argument]).
+    iterative deepening from 0 ({!Mc.deepen}, on [engine]'s domain
+    count).
 
     [checkpoint]/[resume] pass through to {!Mc.run} (periodic
     frontier-consistent cuts and exact continuation; [`Parallel 1]
@@ -82,8 +68,7 @@ val check :
   ?tel:Telemetry.Hub.t -> ?compile:bool ->
   ?rounds:int -> ?max_states:int -> ?max_depth:int ->
   ?expected_states:int -> ?report_visited:(Mc.Visited.stats -> unit) ->
-  ?engine:Mc.engine -> ?por:bool ->
-  ?symmetry:bool -> ?reorder_bound:bound_mode ->
+  ?engine:Mc.engine -> ?por:bool -> ?reorder_bound:bound_mode ->
   ?checkpoint:int * (Mc.checkpoint -> unit) -> ?resume:Mc.checkpoint ->
   model:Memory_model.t ->
   Locks.Lock.factory -> nprocs:int -> verdict

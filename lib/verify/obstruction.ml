@@ -59,7 +59,7 @@ let check ?(rounds = 1) ?max_states ?max_depth ~model
   let lock, _, cfg = Mutex_check.workload ~model factory ~nprocs ~rounds in
   let offender = ref None in
   let result =
-    Explore.dfs ?max_states ?max_depth ~max_violations:1
+    Mc.run ?max_states ?max_depth ~max_violations:1
       ~check:(fun cfg ->
         match stranded cfg with
         | None -> None

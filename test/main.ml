@@ -28,7 +28,6 @@ let () =
       Test_tradeoff.suite;
       Test_mc.suite;
       Test_frontier.suite;
-      Test_symmetry.suite;
       Test_reorder.suite;
       Test_ra.suite;
       Test_fuzz.suite;

@@ -344,18 +344,30 @@ let label_forced_once () =
 (* Parity: compiled vs closure over generated programs                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [`Reference] is the exact-key Explore.reference explorer *)
 let run_config ~flat ~compile ~engine ~por seed params model =
   let test = Fuzz.Gen.compile ~flat (Fuzz.Gen.generate ~seed params) in
-  let r = Litmus.Test.run ~compile ~engine ~por test ~model in
-  ( r.Litmus.Test.outcomes,
-    r.Litmus.Test.stats.Explore.states,
-    r.Litmus.Test.stats.Explore.transitions )
+  let outcomes, (stats : Explore.stats) =
+    match engine with
+    | `Reference ->
+        let regs, cfg = Litmus.Test.configure ~compile test ~model in
+        let outcomes, r =
+          Explore.reference_outcomes ~observe:(Litmus.Test.observe test regs)
+            cfg
+        in
+        (outcomes, r.Explore.stats)
+    | `Parallel _ as engine ->
+        let r = Litmus.Test.run ~compile ~engine ~por test ~model in
+        (r.Litmus.Test.outcomes, r.Litmus.Test.stats)
+  in
+  (outcomes, stats.Explore.states, stats.Explore.transitions)
 
-let engines = [ (`Dfs, false); (`Parallel 1, false); (`Parallel 1, true) ]
+let engines =
+  [ (`Reference, false); (`Parallel 1, false); (`Parallel 1, true) ]
 
 let engine_name (e, por) =
   match e with
-  | `Dfs -> "dfs"
+  | `Reference -> "reference"
   | `Parallel j -> Fmt.str "mc j=%d%s" j (if por then "+por" else "")
 
 (* Every model x engine: the fully compiled build (constructive flat
@@ -402,12 +414,12 @@ let prop_parity_corners =
       List.for_all
         (fun model ->
           let reference =
-            run_config ~flat:false ~compile:false ~engine:`Dfs ~por:false seed
+            run_config ~flat:false ~compile:false ~engine:`Reference ~por:false seed
               params model
           in
           List.for_all
             (fun (flat, compile) ->
-              run_config ~flat ~compile ~engine:`Dfs ~por:false seed params
+              run_config ~flat ~compile ~engine:`Reference ~por:false seed params
                 model
               = reference)
             [ (true, true); (true, false); (false, true) ])

@@ -1,6 +1,6 @@
-(* Model-checker (state-space exploration) tests: exact reachable-state
-   and outcome counts on hand-analysable programs, deadlock detection,
-   monitor violations, and soundness of deduplication. *)
+(* Reference-explorer tests: exact reachable-state and outcome counts
+   on hand-analysable programs, deadlock detection, monitor violations,
+   and soundness of deduplication. *)
 
 open Memsim
 open Program
@@ -10,6 +10,14 @@ let flat ~nprocs ~nregs progs =
     ~layout:(Layout.flat ~nprocs ~nregs)
     (Array.of_list progs)
 
+(* reachability without a monitor *)
+let plain ?on_final cfg =
+  Explore.reference
+    ~monitor:(fun () _ -> Ok ())
+    ~init:()
+    ?on_final:(Option.map (fun f cfg () -> f cfg) on_final)
+    cfg
+
 let single_writer_outcomes () =
   (* one process, one buffered write + fence: exactly one outcome *)
   let cfg =
@@ -17,7 +25,7 @@ let single_writer_outcomes () =
       [ run (let* () = write 0 1 in let* () = fence in return 0) ]
   in
   let outcomes, result =
-    Explore.reachable_outcomes ~observe:(fun f -> Config.read_mem f 0) cfg
+    Explore.reference_outcomes ~observe:(fun f -> Config.read_mem f 0) cfg
   in
   Alcotest.(check (list int)) "deterministic" [ 1 ] outcomes;
   Alcotest.(check bool) "not truncated" false result.Explore.stats.Explore.truncated
@@ -33,7 +41,7 @@ let race_outcomes_exact () =
       ]
   in
   let outcomes, _ =
-    Explore.reachable_outcomes ~observe:(fun f -> Config.read_mem f 0) cfg
+    Explore.reference_outcomes ~observe:(fun f -> Config.read_mem f 0) cfg
   in
   Alcotest.(check (list int)) "both winners" [ 1; 2 ] outcomes
 
@@ -49,7 +57,7 @@ let sc_interleavings_counted () =
         run (let* () = write 1 1 in return 0);
       |]
   in
-  let result = Explore.dfs_plain cfg in
+  let result = plain cfg in
   Alcotest.(check int) "diamond states" 9 result.Explore.stats.Explore.states;
   Alcotest.(check int) "no deadlocks" 0 (List.length result.Explore.deadlocks)
 
@@ -61,7 +69,7 @@ let deadlock_detected_with_path () =
         run (let* _ = await 1 (fun v -> v = 1) in return 0);
       ]
   in
-  let result = Explore.dfs_plain cfg in
+  let result = plain cfg in
   Alcotest.(check bool) "deadlock found" true (result.Explore.deadlocks <> [])
 
 let monitor_violation_reports_path () =
@@ -80,7 +88,7 @@ let monitor_violation_reports_path () =
     | Step.Note { text = "boom"; _ } -> Error "exploded"
     | _ -> Ok ()
   in
-  let result = Explore.dfs ~monitor ~init:() cfg in
+  let result = Explore.reference ~monitor ~init:() cfg in
   match result.Explore.violations with
   | [ v ] -> Alcotest.(check string) "message" "exploded" v.Explore.message
   | _ -> Alcotest.fail "expected exactly one violation"
@@ -95,7 +103,7 @@ let spin_spaces_are_finite () =
         run (let* () = write 0 7 in let* () = fence in return 0);
       ]
   in
-  let result = Explore.dfs_plain cfg in
+  let result = plain cfg in
   Alcotest.(check bool) "finite" false result.Explore.stats.Explore.truncated;
   Alcotest.(check bool) "no deadlock" true (result.Explore.deadlocks = [])
 
@@ -111,7 +119,7 @@ let replaying_violation_path_reproduces () =
   in
   let lost = ref None in
   let result =
-    Explore.dfs_plain
+    plain
       ~on_final:(fun f -> if Config.read_mem f 0 <> 2 then lost := Some f)
       (mk ())
   in

@@ -1,5 +1,5 @@
-(* Parallel model-checker tests: exact agreement of Mc.run with
-   Explore.dfs (states, transitions, outcomes, verdicts) with POR off,
+(* Model-checker tests: exact agreement of Mc.run with the exact-key
+   Explore.reference (states, transitions, outcomes, verdicts) with POR off,
    verdict preservation with states <= unreduced under POR, replay
    determinism of counterexample paths across domain counts, and a
    qcheck cross-check on random small programs. *)
@@ -21,12 +21,20 @@ let check_stats_equal label (a : Explore.stats) (b : Explore.stats) =
 (* Litmus parity: every case, every model, engines agree exactly       *)
 (* ------------------------------------------------------------------ *)
 
+(* A litmus cell on the reference explorer: its outcomes and stats. *)
+let reference_litmus test ~model =
+  let regs, cfg = Litmus.Test.configure test ~model in
+  let outcomes, r =
+    Explore.reference_outcomes ~observe:(Litmus.Test.observe test regs) cfg
+  in
+  (outcomes, r.Explore.stats)
+
 let litmus_parity_engines () =
   List.iter
     (fun test ->
       List.iter
         (fun model ->
-          let reference = Litmus.Test.run test ~model in
+          let ref_outcomes, ref_stats = reference_litmus test ~model in
           List.iter
             (fun jobs ->
               let label =
@@ -36,9 +44,8 @@ let litmus_parity_engines () =
               let r = Litmus.Test.run ~engine:(`Parallel jobs) test ~model in
               Alcotest.(check bool)
                 (label ^ ": outcomes") true
-                (r.Litmus.Test.outcomes = reference.Litmus.Test.outcomes);
-              check_stats_equal label reference.Litmus.Test.stats
-                r.Litmus.Test.stats)
+                (r.Litmus.Test.outcomes = ref_outcomes);
+              check_stats_equal label ref_stats r.Litmus.Test.stats)
             [ 1; 2 ])
         Memory_model.all)
     Litmus.Cases.all
@@ -75,6 +82,23 @@ let verdict_shape (v : Verify.Mutex_check.verdict) =
     v.Verify.Mutex_check.deadlock <> None,
     v.Verify.Mutex_check.lost_update )
 
+(* [Mutex_check.check]'s workload, monitor and lost-update oracle on the
+   reference explorer: the verdict shape and stats to compare against. *)
+let reference_check name ~model ~nprocs =
+  let _, counter, cfg =
+    Verify.Mutex_check.workload ~model (lock name) ~nprocs ~rounds:1
+  in
+  let lost = ref false in
+  let r =
+    Explore.reference ~monitor:Verify.Mutex_check.cs_monitor
+      ~init:Pid.Set.empty
+      ~on_final:(fun final _ ->
+        if Config.read_mem final counter <> nprocs then lost := true)
+      cfg
+  in
+  let me = r.Explore.violations <> [] and dl = r.Explore.deadlocks <> [] in
+  ((not (me || dl || !lost), me, dl, !lost), r.Explore.stats)
+
 let lock_parity_cases =
   [ ("bakery", 2); ("peterson", 2); ("tournament", 2); ("gt:2", 2) ]
 
@@ -83,9 +107,7 @@ let locks_parity_engines () =
     (fun (name, nprocs) ->
       List.iter
         (fun model ->
-          let reference =
-            Verify.Mutex_check.check ~model (lock name) ~nprocs
-          in
+          let ref_shape, ref_stats = reference_check name ~model ~nprocs in
           List.iter
             (fun jobs ->
               let label =
@@ -98,28 +120,26 @@ let locks_parity_engines () =
               in
               Alcotest.(check bool)
                 (label ^ ": verdict") true
-                (verdict_shape v = verdict_shape reference);
-              check_stats_equal label reference.Verify.Mutex_check.stats
-                v.Verify.Mutex_check.stats)
+                (verdict_shape v = ref_shape);
+              check_stats_equal label ref_stats v.Verify.Mutex_check.stats)
             [ 1; 2 ])
         [ Memory_model.Sc; Memory_model.Tso; Memory_model.Pso ])
     lock_parity_cases
 
-(* The acceptance-scope case: 3-process bakery, sequential DFS vs the
-   1-domain parallel engine, exact agreement. Slow (~700k states per
-   engine) but the one that matters. *)
+(* The acceptance-scope case: 3-process bakery, the reference explorer
+   vs the 1-domain engine, exact agreement. Slow (~700k states per
+   explorer) but the one that matters. *)
 let bakery3_parity () =
   let model = Memory_model.Pso in
-  let reference = Verify.Mutex_check.check ~model (lock "bakery") ~nprocs:3 in
+  let ref_shape, ref_stats = reference_check "bakery" ~model ~nprocs:3 in
   let v =
     Verify.Mutex_check.check ~engine:(`Parallel 1) ~model (lock "bakery")
       ~nprocs:3
   in
   Alcotest.(check bool)
     "bakery n=3: verdict" true
-    (verdict_shape v = verdict_shape reference);
-  check_stats_equal "bakery n=3" reference.Verify.Mutex_check.stats
-    v.Verify.Mutex_check.stats
+    (verdict_shape v = ref_shape);
+  check_stats_equal "bakery n=3" ref_stats v.Verify.Mutex_check.stats
 
 let locks_por_preserves_verdicts () =
   let strict_reduction = ref false in
@@ -211,7 +231,7 @@ let replay_deterministic () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Deadlock capping (Explore satellite)                                *)
+(* Deadlock capping                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let max_deadlocks_caps () =
@@ -235,14 +255,12 @@ let max_deadlocks_caps () =
            return 0);
       |]
   in
-  let full = Explore.dfs_plain cfg in
+  let full = Explore.reference ~monitor:(fun () _ -> Ok ()) ~init:() cfg in
   Alcotest.(check bool)
     "multiple deadlock paths" true
     (List.length full.Explore.deadlocks >= 2);
   let capped =
-    Explore.dfs
-      ~monitor:(fun () _ -> Ok ())
-      ~init:() ~max_deadlocks:1 cfg
+    Mc.run ~monitor:(fun () _ -> Ok ()) ~init:() ~max_deadlocks:1 cfg
   in
   Alcotest.(check int)
     "capped to one" 1
@@ -310,7 +328,7 @@ let prop_engines_agree =
       List.for_all
         (fun model ->
           let ref_out, ref_res =
-            Explore.reachable_outcomes ~observe (config_of ~model progs)
+            Explore.reference_outcomes ~observe (config_of ~model progs)
           in
           let mc_out, mc_res =
             Mc.reachable_outcomes ~engine:(`Parallel 2) ~observe

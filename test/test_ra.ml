@@ -151,7 +151,7 @@ let counterexample_replay () =
     else None
   in
   let r =
-    Explore.dfs ~check:weak
+    Explore.reference ~check:weak
       ~monitor:(fun m _ -> Ok m)
       ~init:() cfg
   in
@@ -178,7 +178,7 @@ let counterexample_replay () =
     Litmus.Test.configure Litmus.Cases.two_plus_two_w ~model:Memory_model.Sra
   in
   let r_sra =
-    Explore.dfs ~check:weak
+    Explore.reference ~check:weak
       ~monitor:(fun m _ -> Ok m)
       ~init:() cfg_sra
   in
@@ -421,20 +421,17 @@ let check_invalid name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
 
 (* Write-buffer-specific reductions are rejected, not silently
-   misapplied: the reorder bound meters buffer occupancy and symmetry
-   canonicalizes pid-keyed buffer state, neither of which exists under
-   the view backend. *)
+   misapplied: the reorder bound meters buffer occupancy, which does
+   not exist under the view backend. *)
 let reductions_rejected () =
   let cfg model =
     snd (Litmus.Test.configure Litmus.Cases.sb ~model)
   in
-  check_invalid "dfs --reorder-bound under RA" (fun () ->
-      Explore.dfs_plain ~reorder_bound:1 (cfg Memory_model.Ra));
+  check_invalid "default engine --reorder-bound under RA" (fun () ->
+      Mc.run_plain ~reorder_bound:1 (cfg Memory_model.Ra));
   check_invalid "parallel --reorder-bound under SRA" (fun () ->
       Mc.run_plain ~engine:(`Parallel 1) ~reorder_bound:1
         (cfg Memory_model.Sra));
-  check_invalid "parallel --symmetry under RA" (fun () ->
-      Mc.run_plain ~engine:(`Parallel 1) ~symmetry:true (cfg Memory_model.Ra));
   check_invalid "deepen under SRA" (fun () ->
       Mc.deepen
         ~monitor:(fun m _ -> Ok m)

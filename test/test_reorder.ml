@@ -157,16 +157,6 @@ let below_saturation_never_plain_ok () =
   in
   Alcotest.(check bool) "unbounded finds it" false unb.Verify.Mutex_check.holds
 
-let symmetry_and_bound_are_exclusive () =
-  Alcotest.check_raises "rejected"
-    (Invalid_argument
-       "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive")
-    (fun () ->
-      ignore
-        (Verify.Mutex_check.check ~engine:(`Parallel 1) ~symmetry:true
-           ~reorder_bound:(`K 1) ~model:Memory_model.Pso (lock "bakery")
-           ~nprocs:2))
-
 (* --- iterative deepening ----------------------------------------------- *)
 
 let overlap_of_trace trace =
@@ -370,8 +360,6 @@ let suite =
         fenced_bakery_saturates_at_k0;
       Alcotest.test_case "below saturation never prints plain OK" `Quick
         below_saturation_never_plain_ok;
-      Alcotest.test_case "symmetry and reorder bound are exclusive" `Quick
-        symmetry_and_bound_are_exclusive;
       Alcotest.test_case "deepen = exact engine on the ablation corpus" `Slow
         deepen_matches_exact_on_ablation;
       Alcotest.test_case "deepen replays its first violation verbatim" `Quick

@@ -80,7 +80,7 @@ let random_replay_bytes_equal () =
     (List.length t2);
   Alcotest.(check bool) "same seed, identical step sequence" true (t1 = t2);
   Alcotest.(check string) "same seed, byte-equal final state key"
-    (Explore.state_key f1) (Explore.state_key f2);
+    (Statekey.to_string f1) (Statekey.to_string f2);
   let t3, _ = run 12 in
   Alcotest.(check bool) "distinct seeds, distinct schedules" false (t1 = t3)
 
@@ -161,7 +161,7 @@ let sequential_trace_matches_reference () =
     let t_ref, f_ref = sequential_reference cfg in
     Alcotest.(check bool) "byte-identical trace" true (t_new = t_ref);
     Alcotest.(check string) "same final state"
-      (Explore.state_key f_ref) (Explore.state_key f_new)
+      (Statekey.to_string f_ref) (Statekey.to_string f_new)
   in
   check (bakery_workload ~nprocs:4 ~rounds:2 ());
   let layout = Layout.flat ~nprocs:3 ~nregs:1 in
@@ -197,7 +197,7 @@ let random_picks_match_reference () =
         true (t_new = t_ref);
       Alcotest.(check string)
         (Fmt.str "seed %d bias %.2f: same final state" seed bias)
-        (Explore.state_key f_ref) (Explore.state_key f_new))
+        (Statekey.to_string f_ref) (Statekey.to_string f_new))
     [ (0, 0.3); (1, 0.3); (2, 0.3); (11, 0.05); (12, 0.9); (42, 0.5) ]
 
 let sequential_runs_all_and_counts () =

@@ -191,7 +191,7 @@ let prop_scheduler_sound_wrt_explorer =
         Config.make ~model ~layout
           [| build_program 0 ops0; build_program 1 ops1 |]
       in
-      let outcomes, _ = Explore.reachable_outcomes ~observe cfg in
+      let outcomes, _ = Explore.reference_outcomes ~observe cfg in
       List.mem (observe final) outcomes)
 
 let suite =

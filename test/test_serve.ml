@@ -121,6 +121,10 @@ let ack_golden () =
     (read_file path);
   Sys.remove path
 
+(* the identity library-level tests save under; jobs derive theirs from
+   the canonical spec *)
+let identity = Serve.Checkpoint.identity ~spec:"test"
+
 let checkpoint_golden () =
   let ck =
     {
@@ -133,22 +137,39 @@ let checkpoint_golden () =
       ck_deadlocks = [ [ (0, Some 2) ] ];
     }
   in
-  let bytes = Serve.Json.to_string (Serve.Checkpoint.to_json ck) in
+  let bytes = Serve.Json.to_string (Serve.Checkpoint.to_json ~identity ck) in
   Alcotest.(check string)
     "checkpoint record bytes"
-    {|{"type":"checkpoint","states":7,"transitions":12,"bound_hits":0,"pending":[[[0,null],[1,3]],[]],"visited":[[17,-4]],"violations":[{"message":"overlap","path":[[1,null]]}],"deadlocks":[[[0,2]]]}|}
+    {|{"type":"checkpoint","states":7,"transitions":12,"bound_hits":0,"pending":[[[0,null],[1,3]],[]],"visited":[[17,-4]],"violations":[{"message":"overlap","path":[[1,null]]}],"deadlocks":[[[0,2]]],"identity":"fa3a5464ee98b7120885b6414cd4a3f7"}|}
     bytes;
   (* file roundtrip through the atomic save path *)
   let path = tmpfile "serve_ckpt_golden.ckpt" in
-  Serve.Checkpoint.save ~path ck;
-  (match Serve.Checkpoint.load ~path with
+  Serve.Checkpoint.save ~identity ~path ck;
+  (match Serve.Checkpoint.load ~identity ~path with
   | Error e -> Alcotest.fail e
   | Ok ck' ->
       Alcotest.(check string)
         "load(save(ck)) = ck" bytes
-        (Serve.Json.to_string (Serve.Checkpoint.to_json ck')));
+        (Serve.Json.to_string (Serve.Checkpoint.to_json ~identity ck')));
+  (* a cut saved under one identity is refused under another *)
+  (match
+     Serve.Checkpoint.load
+       ~identity:(Serve.Checkpoint.identity ~spec:"other")
+       ~path
+   with
+  | Ok _ -> Alcotest.fail "loaded a cut under a foreign identity"
+  | Error _ -> ());
+  (* and a record with no identity at all is refused *)
+  (match
+     Result.bind
+       (Serve.Json.parse
+          {|{"type":"checkpoint","states":0,"transitions":0,"bound_hits":0,"pending":[],"visited":[],"violations":[],"deadlocks":[]}|})
+       (Serve.Checkpoint.of_json ~identity)
+   with
+  | Ok _ -> Alcotest.fail "accepted a cut without identity"
+  | Error _ -> ());
   Sys.remove path;
-  match Serve.Checkpoint.load ~path:(path ^ ".missing") with
+  match Serve.Checkpoint.load ~identity ~path:(path ^ ".missing") with
   | Ok _ -> Alcotest.fail "loaded a missing checkpoint"
   | Error _ -> ()
 
@@ -175,7 +196,7 @@ let resume_equivalence () =
           ~checkpoint:
             ( 400,
               fun c ->
-                Serve.Checkpoint.save ~path:ckpt c;
+                Serve.Checkpoint.save ~identity ~path:ckpt c;
                 raise Killed )
           ~model factory ~nprocs:2);
      Alcotest.fail "kill did not fire (checkpoint interval too large?)"
@@ -183,7 +204,7 @@ let resume_equivalence () =
   Alcotest.(check bool) "checkpoint file exists" true (Sys.file_exists ckpt);
   (* leg 3: resume from the file and finish *)
   let resume =
-    match Serve.Checkpoint.load ~path:ckpt with
+    match Serve.Checkpoint.load ~identity ~path:ckpt with
     | Ok c -> c
     | Error e -> Alcotest.fail e
   in
@@ -255,6 +276,72 @@ let job_level_resume () =
     | _ -> Alcotest.fail "no states field"
   in
   Alcotest.(check int) "states" (states uninterrupted) (states resumed);
+  Sys.rmdir dir
+
+(* A checkpoint is found by job id alone, so an id re-spooled with a
+   different spec must not resume the old job's cut: the identity
+   stored with the cut no longer matches, the job reports
+   [resume_error] and runs from scratch to the exact uninterrupted
+   counts (bakery n=3 PSO: 718,590 states, 1,883,736 transitions). *)
+let respooled_id_starts_fresh () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "serve_respool_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let check nprocs =
+    {
+      Serve.Job.id = "rs1";
+      spec =
+        Serve.Job.Check
+          {
+            lock = "bakery";
+            model = Memory_model.Pso;
+            nprocs;
+            rounds = 1;
+            max_states = 1_000_000;
+            por = false;
+            reorder_bound = None;
+          };
+    }
+  in
+  (try
+     ignore
+       (Serve.Job.run ~checkpoint:(400, dir)
+          ~on_checkpoint:(fun () -> raise Killed)
+          (check 2))
+   with Killed -> ());
+  let ckpt = Filename.concat dir "rs1.ckpt" in
+  Alcotest.(check bool) "n=2 cut left behind" true (Sys.file_exists ckpt);
+  let stats = Filename.concat dir "rs1.ndjson" in
+  let sink = Telemetry.Sink.create stats in
+  (* no further cuts at n=3: only the stale one is in play *)
+  let o = Serve.Job.run ~sink ~checkpoint:(max_int, dir) (check 3) in
+  Telemetry.Sink.close sink;
+  let records =
+    String.split_on_char '\n' (read_file stats)
+    |> List.filter (fun l -> l <> "")
+  in
+  let has kind =
+    List.exists
+      (fun l ->
+        let prefix = Fmt.str {|{"type":"%s","job_id":"rs1"|} kind in
+        String.length l >= String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix)
+      records
+  in
+  Alcotest.(check bool) "resume_error emitted" true (has "resume_error");
+  Alcotest.(check bool) "no resume" false (has "resume");
+  let int_field k =
+    match List.assoc_opt k o.Serve.Job.fields with
+    | Some (Telemetry.Sink.I n) -> n
+    | _ -> Alcotest.failf "no %s field" k
+  in
+  Alcotest.(check bool) "holds" true o.Serve.Job.ok;
+  Alcotest.(check int) "states" 718_590 (int_field "states");
+  Alcotest.(check int) "transitions" 1_883_736 (int_field "transitions");
+  Alcotest.(check bool) "stale cut removed" false (Sys.file_exists ckpt);
+  Sys.remove stats;
   Sys.rmdir dir
 
 (* --- backpressure -------------------------------------------------- *)
@@ -393,6 +480,8 @@ let suite =
         `Slow resume_equivalence;
       Alcotest.test_case "job-level orphan resume through Job.run" `Slow
         job_level_resume;
+      Alcotest.test_case "re-spooled id with another spec starts fresh" `Slow
+        respooled_id_starts_fresh;
       Alcotest.test_case "pool: backpressure bounds queue depth" `Quick
         backpressure;
       Alcotest.test_case "daemon: spool pass, rejects, done markers" `Slow

@@ -92,16 +92,27 @@ let per_worker_sums_reconcile_at_j4 () =
     (Some v.Verify.Mutex_check.stats.Explore.states)
     (Telemetry.Hub.read_int tel "states")
 
-(* The dfs engine speaks the same counter vocabulary. *)
-let dfs_counters_reconcile () =
+(* The engine's counters agree with the exact-key reference explorer,
+   which keeps no telemetry of its own: one expansion per state it
+   claims, one child per transition it takes. *)
+let counters_match_reference () =
   let tel = Telemetry.Hub.create ~workers:1 () in
-  let v = check_bakery ~tel ~engine:`Dfs () in
+  ignore (check_bakery ~tel ~engine:(`Parallel 1) ());
+  let _, _, cfg =
+    Verify.Mutex_check.workload ~model:Memory_model.Pso
+      (Option.get (Locks.Registry.find "bakery"))
+      ~nprocs:2 ~rounds:1
+  in
+  let r =
+    Explore.reference ~monitor:Verify.Mutex_check.cs_monitor
+      ~init:Pid.Set.empty cfg
+  in
   let f = Telemetry.Hub.counter_fields tel in
-  Alcotest.(check int) "expansions = states"
-    v.Verify.Mutex_check.stats.Explore.states
+  Alcotest.(check int) "expansions = reference states"
+    r.Explore.stats.Explore.states
     (List.assoc "expansions" f);
-  Alcotest.(check int) "children = transitions"
-    v.Verify.Mutex_check.stats.Explore.transitions
+  Alcotest.(check int) "children = reference transitions"
+    r.Explore.stats.Explore.transitions
     (List.assoc "children" f)
 
 (* Telemetry off is the default: not passing a hub must not change any
@@ -109,7 +120,7 @@ let dfs_counters_reconcile () =
 let disabled_hub_is_a_noop () =
   List.iter
     (fun engine ->
-      let tel = Telemetry.Hub.create ~workers:1 () in
+      let tel = Telemetry.Hub.create ~workers:2 () in
       let v_with = check_bakery ~tel ~engine () in
       let v_without = check_bakery ~engine () in
       Alcotest.(check bool) "same holds"
@@ -120,7 +131,7 @@ let disabled_hub_is_a_noop () =
       Alcotest.(check int) "same transitions"
         v_without.Verify.Mutex_check.stats.Explore.transitions
         v_with.Verify.Mutex_check.stats.Explore.transitions)
-    [ `Dfs; `Parallel 1 ]
+    [ `Parallel 1; `Parallel 2 ]
 
 (* --- NDJSON golden shape ------------------------------------------ *)
 
@@ -303,8 +314,8 @@ let suite =
         counters_deterministic_at_j1;
       Alcotest.test_case "per-worker sums reconcile with verdict at j=4"
         `Quick per_worker_sums_reconcile_at_j4;
-      Alcotest.test_case "dfs speaks the same counter vocabulary" `Quick
-        dfs_counters_reconcile;
+      Alcotest.test_case "counters match the reference explorer" `Quick
+        counters_match_reference;
       Alcotest.test_case "unread hub changes nothing" `Quick
         disabled_hub_is_a_noop;
       Alcotest.test_case "sink: golden record bytes" `Quick sink_golden_record;
