@@ -497,12 +497,7 @@ let mc () =
   in
   let guard = Sys.getenv_opt "BENCH_MC_GUARD" <> None in
   let cpus = Domain.recommended_domain_count () in
-  (* expected-state hints (the committed full-space sizes) pre-size the
-     visited set so rehashing does not pollute the timing *)
-  let workloads =
-    [ ("bakery", 3, 718_590); ("tournament", 3, 1_356_589);
-      ("gt:2", 3, 1_356_589) ]
-  in
+  let workloads = [ ("bakery", 3); ("tournament", 3); ("gt:2", 3) ] in
   (* [None] is the exact-key reference explorer (Explore.reference),
      the serial baseline; it has no telemetry, so its counter columns
      read 0 *)
@@ -529,7 +524,7 @@ let mc () =
   let rates : (string * int, float) Hashtbl.t = Hashtbl.create 16 in
   let rows =
     List.concat_map
-      (fun (name, nprocs, expected) ->
+      (fun (name, nprocs) ->
         List.map
           (fun (label, engine, por, bound, compile) ->
             let vstats = ref None in
@@ -557,7 +552,6 @@ let mc () =
               | Some engine ->
                   let v =
                     Verify.Mutex_check.check ~tel ~compile ~max_states:cap
-                      ~expected_states:(min cap expected)
                       ~report_visited:(fun s -> vstats := Some s)
                       ~engine ~por ?reorder_bound:bound
                       ~model:Memory_model.Pso (lock name) ~nprocs
@@ -761,7 +755,7 @@ let mc () =
     (* aggregate throughput at j across all workloads, plain runs only *)
     let aggregate j =
       List.fold_left
-        (fun acc (name, _, _) ->
+        (fun acc (name, _) ->
           match Hashtbl.find_opt rates (name, j) with
           | Some r -> acc +. r
           | None -> acc)

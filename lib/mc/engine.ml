@@ -13,11 +13,11 @@
       the former injection-queue design scale negatively with domains;
     - states are deduplicated {e at creation}: an expansion executes
       its edges, normalizes each child (label flushing), monitors the
-      pending notes, and then claims the whole brood in one batched
-      two-phase {!Visited} probe ([add_batch] — lock-free racy
-      pre-check, then one shard-lock round for the survivors). Only
-      claim winners become tasks, so duplicate states — the majority,
-      on lock workloads — never travel through the deques at all;
+      pending notes, and then claims each child with {!Visited.add} (a
+      lock-free racy probe of the shard's flat table, then a locked
+      re-check and insert for the survivors). Only claim winners
+      become tasks, so duplicate states — the majority, on lock
+      workloads — never travel through the deques at all;
     - each task carries its fingerprint, updated in O(1) per edge and
       per flushed label from [Exec.exec_elt_d]'s dirty reports;
     - with [por], each expansion first looks for a persistent-singleton
@@ -139,8 +139,8 @@ let replay_task (type m)
               }))
     root path
 
-let run_parallel (type m) ~tel ~jobs ~por ~expected_states
-    ~report_visited ~max_states ~max_depth ~max_violations ~max_deadlocks
+let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
+    ~max_depth ~max_violations ~max_deadlocks
     ~(bound : int option) ~(on_boundary : (m task -> unit) option)
     ~(visited_in : Visited.t option) ~(seeds : m task list option)
     ~(checkpoint : (int * (checkpoint -> unit)) option)
@@ -198,7 +198,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~expected_states
   let visited =
     match visited_in with
     | Some v -> v
-    | None -> Visited.create ?expected_states ()
+    | None -> Visited.create ()
   in
   (* A resume restarts mid-run: counters continue from the cut (so
      caps and final totals match the uninterrupted run), the visited
@@ -236,6 +236,8 @@ let run_parallel (type m) ~tel ~jobs ~por ~expected_states
       float_of_int (Visited.approx_size visited));
   Telemetry.Hub.gauge tel "visited_skew" (fun () ->
       (Visited.approx_stats visited).Visited.skew);
+  Telemetry.Hub.gauge tel "visited_bytes" (fun () ->
+      float_of_int (Visited.approx_stats visited).Visited.bytes);
   (* one mutex serializes the mutating hooks and verdict stores; they
      fire far less often than states are expanded *)
   let sync = Mutex.create () in
@@ -496,7 +498,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~expected_states
           match candidates with
           | [] -> []
           | [ c ] ->
-              (* single candidate: plain add, no batch machinery *)
+              (* single candidate: plain add *)
               if Visited.add visited (key c) then begin
                 Atomic.incr states;
                 [ c ]
@@ -509,8 +511,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~expected_states
               (* per-candidate adds: {!Visited.add} is atomic per
                  fingerprint (racy pre-check, locked re-check), so a
                  duplicate within the same expansion still wins at most
-                 once — same claim semantics as the former array batch,
-                 without materializing candidate and key arrays *)
+                 once *)
               let ntotal = ref 0 and nclaimed = ref 0 in
               let claimed =
                 List.filter
@@ -683,23 +684,23 @@ let run_parallel (type m) ~tel ~jobs ~por ~expected_states
   }
 
 let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
-    ?expected_states ?report_visited ?(max_states = 1_000_000)
+    ?report_visited ?(max_states = 1_000_000)
     ?(max_depth = 100_000) ?(max_violations = 3) ?(max_deadlocks = max_int)
     ?reorder_bound ?checkpoint ?resume ?(check = fun (_ : Config.t) -> None)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m Explore.result =
   let (`Parallel jobs) = engine in
-  run_parallel ~tel ~jobs ~por ~expected_states ~report_visited ~max_states
+  run_parallel ~tel ~jobs ~por ~report_visited ~max_states
     ~max_depth ~max_violations ~max_deadlocks ~bound:reorder_bound
     ~on_boundary:None ~visited_in:None ~seeds:None ~checkpoint ~resume ~check
     ~monitor ~init ~on_final cfg0
 
 (** Exploration without a monitor: just reachability. *)
-let run_plain ?tel ?engine ?por ?expected_states ?max_states ?max_depth
+let run_plain ?tel ?engine ?por ?max_states ?max_depth
     ?max_deadlocks ?reorder_bound ?on_final cfg =
   let on_final = Option.map (fun f cfg (_ : unit) -> f cfg) on_final in
-  run ?tel ?engine ?por ?expected_states ?max_states ?max_depth
+  run ?tel ?engine ?por ?max_states ?max_depth
     ?max_deadlocks ?reorder_bound
     ~monitor:(fun () _ -> Ok ())
     ~init:() ?on_final cfg
@@ -755,10 +756,10 @@ type 'm deepen_result = {
     Per-level [states] counts newly claimed states only, so the sum
     over levels equals the cumulative count; [transitions] may double-
     count edges re-executed while re-expanding boundary tasks. *)
-let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
-    ?report_visited ?(max_states = 1_000_000) ?(max_depth = 100_000)
-    ?(max_violations = 3) ?(max_deadlocks = max_int) ?(bound_from = 0)
-    ?(bound_step = 1) ?(max_bound = 62)
+let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?report_visited
+    ?(max_states = 1_000_000) ?(max_depth = 100_000) ?(max_violations = 3)
+    ?(max_deadlocks = max_int) ?(bound_from = 0) ?(bound_step = 1)
+    ?(max_bound = 62)
     ?(check = fun (_ : Config.t) -> None)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
@@ -772,7 +773,7 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
        is not supported under %s (view-based models have no write buffer to \
        meter)"
       (Memory_model.to_string cfg0.Config.model);
-  let visited = Visited.create ?expected_states () in
+  let visited = Visited.create () in
   let cum_states = ref 0 and cum_transitions = ref 0 in
   let cum_hits = ref 0 in
   let cum_deadlocks = ref [] in
@@ -787,9 +788,9 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
       Mutex.unlock bmutex
     in
     let r =
-      run_parallel ~tel ~jobs ~por ~expected_states
-        ~report_visited:None ~max_states:(max_states - !cum_states) ~max_depth
-        ~max_violations ~max_deadlocks ~bound:(Some k)
+      run_parallel ~tel ~jobs ~por ~report_visited:None
+        ~max_states:(max_states - !cum_states) ~max_depth ~max_violations
+        ~max_deadlocks ~bound:(Some k)
         ~on_boundary:(Some on_boundary) ~visited_in:(Some visited) ~seeds
         ~checkpoint:None ~resume:None ~check ~monitor ~init ~on_final cfg0
     in

@@ -40,7 +40,6 @@ type checkpoint = {
     [max_depth] (default 100,000) truncate the run. With [por] the
     states/transitions counts drop but all deadlocks, quiescent states
     and note-driven monitor verdicts are preserved.
-    [expected_states] pre-sizes the visited set ({!Visited.create});
     [report_visited] receives the visited set's occupancy statistics
     when the run finishes.
 
@@ -48,8 +47,8 @@ type checkpoint = {
     registers its counters (expansions, children, dedup_hits,
     por_prunes, bound_hits, plus the frontier's steals/sleeps) and
     live gauges (states, transitions, frontier, visited,
-    visited_skew) on it, so a {!Telemetry.Sampler} can stream
-    progress while the run is live. The hub must have at least as
+    visited_skew, visited_bytes) on it, so a {!Telemetry.Sampler} can
+    stream progress while the run is live. The hub must have at least as
     many worker slots as [`Parallel j] has domains. Without [tel]
     the same counters are bumped on a private hub nobody reads —
     plain int adds on pre-allocated padded cells, the zero-cost-off
@@ -85,7 +84,6 @@ val run :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?expected_states:int ->
   ?report_visited:(Visited.stats -> unit) ->
   ?max_states:int ->
   ?max_depth:int ->
@@ -106,7 +104,6 @@ val run_plain :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?expected_states:int ->
   ?max_states:int ->
   ?max_depth:int ->
   ?max_deadlocks:int ->
@@ -167,7 +164,6 @@ val deepen :
   ?tel:Telemetry.Hub.t ->
   ?jobs:int ->
   ?por:bool ->
-  ?expected_states:int ->
   ?report_visited:(Visited.stats -> unit) ->
   ?max_states:int ->
   ?max_depth:int ->

@@ -15,9 +15,10 @@
     fingerprints makes the visited set small and cheap to shard, at the
     cost of a collision probability. With two independently seeded and
     independently mixed 63-bit lanes, a collision needs both lanes to
-    agree; for [k] distinct states the birthday bound gives roughly
-    [k^2 / 2^127] — about [1e-26] at a million states, far below the
-    chance of a cosmic-ray bit flip. A collision could only cause a
+    agree. The visited set spends one bit of each lane on a tag, so it
+    compares 124 bits; for [k] distinct states the birthday bound gives
+    roughly [k^2 / 2^125] — about [2e-26] at a million states, far below
+    the chance of a cosmic-ray bit flip. A collision could only cause a
     state to be wrongly treated as visited, i.e. under-exploration,
     never a false violation. DESIGN.md discusses the soundness budget;
     xor-composition spends a little more of it (a multiset of component
@@ -89,13 +90,5 @@ let budget_term cfg =
 let mix fp t = { a = fp.a lxor t.a; b = fp.b lxor t.b }
 let equal x y = x.a = y.a && x.b = y.b
 let compare x y = if x.a <> y.a then Int.compare x.a y.a else Int.compare x.b y.b
-
-(** In-table hash: lane [a]. *)
-let hash x = x.a land max_int
-
-(** Shard index: lane [b], decorrelated from the in-table hash so a
-    shard's table does not degenerate into few buckets. [mask] must be
-    [2^k - 1]. *)
-let shard x ~mask = x.b land mask
 
 let pp ppf x = Fmt.pf ppf "%016x:%016x" x.a x.b

@@ -29,11 +29,4 @@ val mix : t -> t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** In-table hash (lane [a]). *)
-val hash : t -> int
-
-(** Shard index (lane [b], decorrelated from {!hash}); [mask] must be
-    [2^k - 1]. *)
-val shard : t -> mask:int -> int
-
 val pp : t Fmt.t

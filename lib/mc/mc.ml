@@ -4,8 +4,8 @@
 
     - {!Fingerprint}: 126-bit incremental state fingerprints over the
       shared {!Memsim.Statekey} component stream;
-    - {!Visited}: sharded concurrent visited set with batched
-      two-phase probes;
+    - {!Visited}: sharded concurrent visited set, hash compaction
+      over flat open-addressing tables with a lock-free pre-check;
     - {!Deque}: Chase–Lev lock-free work-stealing deque;
     - {!Frontier}: per-worker deques + distributed termination;
     - {!Por}: independence relation and safe-step selection;

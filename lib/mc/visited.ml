@@ -1,75 +1,71 @@
-(** Sharded concurrent visited set over state fingerprints.
+(** Sharded concurrent visited set over state fingerprints: hash
+    compaction (Stern & Dill 1995) — only the fingerprints are stored,
+    two unboxed int lanes per entry, in flat open-addressing tables.
 
     A fixed power-of-two array of shards, each an {e insert-only} hash
     set. The shard index comes from fingerprint lane [b] and the
-    in-shard bucket index from lane [a], so the two are decorrelated.
+    in-shard slot index from lane [a], so the two are decorrelated.
 
-    The tables are hand-rolled rather than stdlib [Hashtbl], because
-    the batched probe below reads them {e without the shard lock} and
-    stdlib [Hashtbl] is not safe to read racily: its resize relinks
-    the existing bucket cons cells in place (mutating their [next]
-    fields) whenever no traversal is registered, so a racy [mem]
-    concurrent with a resize walks chains whose links are being
-    rewritten — any safety argument would rest on unstated stdlib
-    internals. Here the invariant the racy read needs is true by
-    construction:
+    {b Layout.} A shard's table is one [int array] of [2 * cap] ints,
+    [cap] a power of two: slot [i] is the lane pair at [2i] (lane a)
+    and [2i + 1] (lane b), probed linearly from the slot lane a names.
+    Each stored lane carries a {e tag bit} (bit 0 set), so no stored
+    lane is ever [0] and [0] means "not written". The table starts
+    small ({!initial_slots}) and is replaced by one of twice the
+    capacity once more than 3/4 of its slots are taken, so there is
+    always an empty slot and every probe terminates. An entry costs
+    16 bytes at full load, an insert allocates nothing, and a probe
+    usually reads one cache line.
 
-    - a bucket chain is a list of {e immutable} cons cells; inserting
-      prepends a freshly allocated cell whose tail is the existing
-      chain, and no cell is ever mutated after allocation;
-    - the bucket array is published through an [Atomic.t]; a resize
-      (under the shard lock) builds a {e completely new} array out of
-      freshly allocated cells and installs it with one [Atomic.set] —
-      arrays and cells reachable by a concurrent reader are never
-      touched again.
+    {b The price.} Bit 0 of each lane is the tag, so the set's notion
+    of identity is the other 124 bits: fingerprints that differ only
+    in bit 0 of a lane are one entry. The shard index is taken from
+    the bits above the tag for the same reason. DESIGN.md §6a states
+    the resulting collision bound.
 
-    Two scaling refinements over the original lock-and-probe design:
+    {b Racy reads.} Inserts run under the shard lock (OCaml 5.1 has no
+    CAS on array elements), but every insert is preceded by a {e
+    lock-free racy} probe that filters the duplicate majority (~60% on
+    bakery) without touching the lock. The probe can never claim a
+    fingerprint that was not inserted, because:
 
-    - {e batched two-phase probe} ({!add_batch}): one expansion
-      produces several children at once, most of which are duplicates
-      on the workloads we care about (~60% on bakery). Phase one
-      checks each fingerprint with a {e lock-free racy} membership
-      read; phase two takes each shard lock once per batch and
-      re-checks and inserts only the survivors. The racy read is sound
-      because: (a) the [Atomic.get] of the bucket array synchronizes
-      with the [Atomic.set] that published it, so every cell the array
-      held at publication is fully visible; (b) a plain read of a
-      bucket slot returns {e some} value actually stored there (the
-      OCaml 5 memory model has no out-of-thin-air values, and reads
-      of immutable fields — the cell's key and tail — are guaranteed
-      to see their initialized values even under a race); and (c)
-      every cell ever stored in any published array holds a key some
-      insert actually added, and chains are acyclic because each
-      cell's tail existed before it. So a racy read may {e miss} a
-      concurrent insert (a false negative, caught by the locked
-      re-check) but can never claim a key that was never inserted.
-      Phase one thereby filters the duplicate majority without
-      touching a lock.
+    - {e slots are write-once}: an insert writes a slot's two lanes
+      exactly once, from [0] to the tagged lanes of one fingerprint,
+      and never again; a table is written only while it is the shard's
+      current one;
+    - {e tables are replaced, not resized}: growth (under the lock)
+      fills a completely new array and publishes it with one
+      [Atomic.set]; the [Atomic.get] that fetches a table synchronizes
+      with that publication, so everything copied into it is visible;
+    - a plain racy read of an [int] slot returns [0] or a value that
+      was actually written there (the OCaml 5 memory model has no
+      out-of-thin-air values).
 
-    - {e pre-sizing} ([?expected_states]): the former fixed 1024-slot
-      tables forced every shard through the full resize cascade on
-      million-state runs — each resize a full rehash {e under the
-      shard lock}, stalling every domain that hashes to the shard. The
-      hint spreads the expected population over the shards up front.
+    So a racy reader sees each lane of a slot as either [0] or the one
+    tagged lane ever stored there. A match needs {e both} lanes to
+    equal the tagged probe lanes, which are non-zero, so neither an
+    empty slot nor a half-written one (lane a visible, lane b not yet,
+    or the reverse) can match: at worst the reader misses a concurrent
+    insert — a false negative, which the locked re-check catches. And
+    as at most [cap - 1] slots are ever written in a table, the reader
+    always reaches a slot it reads as empty.
 
     Shard records are deliberately {e padded apart} at allocation
-    time: the records (and their initial bucket arrays, allocated in
-    the same breath) would otherwise sit contiguously in the heap,
-    and two domains inserting into neighbouring shards would
-    false-share cache lines through the shards' mutable count fields.
-    OCaml offers no layout control, so the constructor interleaves a
-    cache-line-sized dummy array with each shard and keeps it live in
-    the record — the GC preserves allocation order when promoting, so
-    the spacing survives. *)
-
-type cell = Nil | Cons of { fp : Fingerprint.t; next : cell }
+    time: the records (and their initial tables, allocated in the same
+    breath) would otherwise sit contiguously in the heap, and two
+    domains inserting into neighbouring shards would false-share cache
+    lines through the shards' mutable count fields. OCaml offers no
+    layout control, so the constructor interleaves a cache-line-sized
+    dummy array with each shard and keeps it live in the record — the
+    GC preserves allocation order when promoting, so the spacing
+    survives. *)
 
 type shard = {
   lock : Mutex.t;
-  buckets : cell array Atomic.t;
-      (** length a power of two; cells immutable, array replaced
-          wholesale on resize *)
-  mutable count : int;  (** entries; read/written under [lock] *)
+  slots : int array Atomic.t;
+      (** [2 * cap] ints; slots write-once, array replaced wholesale on
+          growth *)
+  mutable count : int;  (** entries; written under [lock] *)
   _pad : int array;  (** keeps the inter-shard spacing live; see above *)
 }
 
@@ -81,80 +77,83 @@ type stats = {
   max_occupancy : int;
   mean_occupancy : float;
   skew : float;  (** max / mean; 1.0 = perfectly even *)
+  bytes : int;  (** live slot arrays, headers included *)
 }
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
+(** Slots in a fresh shard's table (a power of two). *)
+let initial_slots = 16
 
-let create ?(shards = 128) ?expected_states () =
+let create ?(shards = 128) () =
   if shards <= 0 || shards land (shards - 1) <> 0 then
     Fmt.invalid_arg "Visited.create: %d shards (need a power of two)" shards;
-  let initial_buckets =
-    match expected_states with
-    | None -> 1024
-    | Some n when n < 0 ->
-        Fmt.invalid_arg "Visited.create: expected_states %d" n
-    | Some n ->
-        (* one bucket per expected entry in the shard: the expected
-           load stays at ~1, well under the resize threshold *)
-        next_pow2 (max 1024 (n / shards)) 1024
-  in
   {
     shards =
       Array.init shards (fun _ ->
           {
             lock = Mutex.create ();
-            buckets = Atomic.make (Array.make initial_buckets Nil);
+            slots = Atomic.make (Array.make (2 * initial_slots) 0);
             count = 0;
             _pad = Array.make 15 0 (* one cache line of spacing *);
           });
     mask = shards - 1;
   }
 
-let[@inline] shard_of (t : t) fp =
-  t.shards.(Fingerprint.shard fp ~mask:t.mask)
+let[@inline] tag lane = lane lor 1
 
-let[@inline] bucket_of arr fp =
-  Fingerprint.hash fp land (Array.length arr - 1)
+(* the shard index skips the tag bit, so the set's identity is exactly
+   the two tagged lanes *)
+let[@inline] shard_of (t : t) (fp : Fingerprint.t) =
+  Array.unsafe_get t.shards ((fp.b lsr 1) land t.mask)
 
-let rec chain_mem fp = function
-  | Nil -> false
-  | Cons c -> Fingerprint.equal c.fp fp || chain_mem fp c.next
+(* Home slot (an even index) of tagged lane [ta] in a table of
+   [Array.length arr] ints: bits 1.. of lane a. *)
+let[@inline] home arr ta = ta land (Array.length arr - 2)
+
+(* Linear probe from [i] for the tagged pair [(ta, tb)]: the empty
+   slot where it goes, or [-1] if some slot holds it. A top-level
+   function with explicit arguments, so a probe allocates nothing. *)
+let rec slot_for (arr : int array) last ta tb i =
+  let sa = Array.unsafe_get arr i in
+  if sa = 0 then i
+  else if sa = ta && Array.unsafe_get arr (i + 1) = tb then -1
+  else slot_for arr last ta tb ((i + 2) land last)
 
 (** Lock-free membership probe; false negatives possible under
     concurrent inserts, false positives impossible (header argument). *)
-let[@inline] mem_racy s fp =
-  let arr = Atomic.get s.buckets in
-  chain_mem fp arr.(bucket_of arr fp)
+let[@inline] mem_racy s ta tb =
+  let arr = Atomic.get s.slots in
+  slot_for arr (Array.length arr - 1) ta tb (home arr ta) < 0
 
-(* Shard lock held: double the bucket array, re-chaining every entry
-   through freshly allocated cells, and publish the new array. Readers
-   still holding the old array see a valid (possibly stale) chain set;
-   nothing they can reach is mutated. *)
+(* Shard lock held: copy every entry into a table of twice the
+   capacity and publish it. Readers still holding the old table see a
+   valid (possibly stale) set; it is never written again. *)
 let grow s =
-  let old = Atomic.get s.buckets in
-  let arr = Array.make (2 * Array.length old) Nil in
-  Array.iter
-    (let rec rehash = function
-       | Nil -> ()
-       | Cons c ->
-           let i = bucket_of arr c.fp in
-           arr.(i) <- Cons { fp = c.fp; next = arr.(i) };
-           rehash c.next
-     in
-     rehash)
-    old;
-  Atomic.set s.buckets arr
+  let old = Atomic.get s.slots in
+  let arr = Array.make (2 * Array.length old) 0 in
+  let last = Array.length arr - 1 in
+  for j = 0 to (Array.length old / 2) - 1 do
+    let ta = old.(2 * j) and tb = old.((2 * j) + 1) in
+    if ta <> 0 then begin
+      (* the old entries are distinct, so [i] is an empty slot *)
+      let i = slot_for arr last ta tb (home arr ta) in
+      arr.(i) <- ta;
+      arr.(i + 1) <- tb
+    end
+  done;
+  Atomic.set s.slots arr
 
-(* Shard lock held: authoritative re-check and insert. Resize at a
-   mean chain length of 2, so probes stay short. *)
-let locked_add s fp =
-  let arr = Atomic.get s.buckets in
-  let i = bucket_of arr fp in
-  if chain_mem fp arr.(i) then false
+(* Shard lock held: authoritative re-check and insert; grow past a
+   load of 3/4. *)
+let locked_add s ta tb =
+  let arr = Atomic.get s.slots in
+  let i = slot_for arr (Array.length arr - 1) ta tb (home arr ta) in
+  if i < 0 then false
   else begin
-    arr.(i) <- Cons { fp; next = arr.(i) };
+    Array.unsafe_set arr i ta;
+    Array.unsafe_set arr (i + 1) tb;
     s.count <- s.count + 1;
-    if s.count > 2 * Array.length arr then grow s;
+    (* [Array.length arr] is twice the capacity *)
+    if 8 * s.count > 3 * Array.length arr then grow s;
     true
   end
 
@@ -163,83 +162,42 @@ let locked_add s fp =
     each state — the winner expands it and fires the per-state hooks.
     The unlocked pre-check peels off the duplicate majority (sound per
     the header argument). *)
-let add t fp =
+let add t (fp : Fingerprint.t) =
   let s = shard_of t fp in
-  if mem_racy s fp then false
+  let ta = tag fp.a and tb = tag fp.b in
+  if mem_racy s ta tb then false
   else begin
     Mutex.lock s.lock;
-    let fresh = locked_add s fp in
+    let fresh = locked_add s ta tb in
     Mutex.unlock s.lock;
     fresh
   end
 
-(** [add_batch t fps] claims a whole expansion's worth of fingerprints:
-    [(add_batch t fps).(i)] iff [fps.(i)] was fresh and this call won
-    it. Phase one filters duplicates lock-free; phase two groups the
-    survivors by shard and takes each shard lock once. Equal
-    fingerprints within one batch are won at most once (the locked
-    re-check runs per element). *)
-let add_batch t fps =
-  let n = Array.length fps in
-  let res = Array.make n false in
-  (* phase one: racy pre-check — duplicates drop out with no lock *)
-  let survivors = ref [] in
-  for i = n - 1 downto 0 do
-    if not (mem_racy (shard_of t fps.(i)) fps.(i)) then
-      survivors := i :: !survivors
-  done;
-  (* phase two: per shard, one lock round for all its survivors *)
-  let rec claim = function
-    | [] -> ()
-    | i :: _ as group ->
-        let s = shard_of t fps.(i) in
-        Mutex.lock s.lock;
-        let rest =
-          List.filter
-            (fun j ->
-              if shard_of t fps.(j) == s then begin
-                res.(j) <- locked_add s fps.(j);
-                false
-              end
-              else true)
-            group
-        in
-        Mutex.unlock s.lock;
-        claim rest
-  in
-  claim !survivors;
-  res
-
-let mem t fp =
+let mem t (fp : Fingerprint.t) =
   let s = shard_of t fp in
-  mem_racy s fp
+  let ta = tag fp.a and tb = tag fp.b in
+  mem_racy s ta tb
   ||
   (Mutex.lock s.lock;
-   let arr = Atomic.get s.buckets in
-   let r = chain_mem fp arr.(bucket_of arr fp) in
+   let r = mem_racy s ta tb in
    Mutex.unlock s.lock;
    r)
 
 (** Iterate over every stored fingerprint, shard by shard under each
-    shard's lock. Exact (and stable across calls) only when no domain
-    is inserting — the j=1 checkpoint serialization path. Order is the
-    internal shard/bucket/chain order: deterministic for a given
+    shard's lock. Yields the stored (tagged) lanes, which {!add} maps
+    to the same entry. Exact (and stable across calls) only when no
+    domain is inserting — the j=1 checkpoint serialization path. Order
+    is the internal shard/slot order: deterministic for a given
     insertion history, not sorted. *)
 let iter (t : t) f =
   Array.iter
     (fun s ->
       Mutex.lock s.lock;
-      let arr = Atomic.get s.buckets in
-      Array.iter
-        (fun c ->
-          let rec walk = function
-            | Nil -> ()
-            | Cons { fp; next } ->
-                f fp;
-                walk next
-          in
-          walk c)
-        arr;
+      let arr = Atomic.get s.slots in
+      for j = 0 to (Array.length arr / 2) - 1 do
+        let a = arr.(2 * j) in
+        if a <> 0 then f { Fingerprint.a; b = arr.((2 * j) + 1) }
+      done;
       Mutex.unlock s.lock)
     t.shards
 
@@ -262,16 +220,16 @@ let size (t : t) =
 let approx_size (t : t) =
   Array.fold_left (fun acc s -> acc + s.count) 0 t.shards
 
-(** Racy counterpart of {!stats}, same caveat as {!approx_size} — for
-    samplers that must never stall a worker on a shard lock. *)
-let approx_stats (t : t) =
+(* [read s] is a shard's [(count, table length)]. *)
+let stats_with read (t : t) =
   let nshards = Array.length t.shards in
-  let entries = ref 0 and maxo = ref 0 in
+  let entries = ref 0 and maxo = ref 0 and words = ref 0 in
   Array.iter
     (fun s ->
-      let n = s.count in
+      let n, len = read s in
       entries := !entries + n;
-      if n > !maxo then maxo := n)
+      if n > !maxo then maxo := n;
+      words := !words + len + 1)
     t.shards;
   let mean = float_of_int !entries /. float_of_int nshards in
   {
@@ -280,27 +238,20 @@ let approx_stats (t : t) =
     max_occupancy = !maxo;
     mean_occupancy = mean;
     skew = (if !entries = 0 then 1.0 else float_of_int !maxo /. mean);
+    bytes = !words * (Sys.word_size / 8);
   }
 
+(** Racy counterpart of {!stats}, same caveat as {!approx_size} — for
+    samplers that must never stall a worker on a shard lock. *)
+let approx_stats =
+  stats_with (fun s -> (s.count, Array.length (Atomic.get s.slots)))
+
 (** Occupancy spread across shards — how well the lane-[b] shard index
-    balances the population (for the bench harness; exact only when
-    quiesced). *)
-let stats (t : t) =
-  let nshards = Array.length t.shards in
-  let entries = ref 0 and maxo = ref 0 in
-  Array.iter
-    (fun s ->
+    balances the population — and the tables' footprint (exact only
+    when quiesced). *)
+let stats =
+  stats_with (fun s ->
       Mutex.lock s.lock;
-      let n = s.count in
+      let r = (s.count, Array.length (Atomic.get s.slots)) in
       Mutex.unlock s.lock;
-      entries := !entries + n;
-      if n > !maxo then maxo := n)
-    t.shards;
-  let mean = float_of_int !entries /. float_of_int nshards in
-  {
-    shards = nshards;
-    entries = !entries;
-    max_occupancy = !maxo;
-    mean_occupancy = mean;
-    skew = (if !entries = 0 then 1.0 else float_of_int !maxo /. mean);
-  }
+      r)

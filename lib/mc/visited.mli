@@ -1,10 +1,13 @@
-(** Sharded concurrent visited set over state fingerprints: a
-    power-of-two array of insert-only hash sets (immutable bucket
-    chains, atomically published bucket arrays), shard index and
-    in-shard hash drawn from decorrelated fingerprint lanes, with a
-    lock-free racy pre-check in front of every insert — sound by
-    construction: nothing a concurrent reader can reach is ever
-    mutated (see the implementation header). *)
+(** Sharded concurrent visited set over state fingerprints: hash
+    compaction — a power-of-two array of insert-only open-addressing
+    tables holding only the two fingerprint lanes per entry, each
+    table starting small and replaced by a larger one as it fills.
+    Shard index and in-table slot are drawn from decorrelated
+    fingerprint lanes, and a lock-free racy pre-check runs in front of
+    every insert — sound by construction: slots are written once and
+    tables are replaced, never resized in place (see the
+    implementation header). One bit of each lane is a tag, so the set
+    tells fingerprints apart on the remaining 124 bits. *)
 
 type t
 
@@ -14,29 +17,24 @@ type stats = {
   max_occupancy : int;  (** most-loaded shard *)
   mean_occupancy : float;
   skew : float;  (** max / mean; 1.0 = perfectly even *)
+  bytes : int;  (** live footprint of the shards' tables *)
 }
 
-(** [create ?shards ?expected_states ()] — [shards] must be a power of
-    two (default 128); [expected_states] pre-sizes each shard's table
-    for the expected total population, avoiding rehash storms on runs
-    that reach millions of states. *)
-val create : ?shards:int -> ?expected_states:int -> unit -> t
+(** [create ?shards ()] — [shards] must be a power of two (default
+    128). Each shard starts with a 16-slot table and grows by doubling
+    at a load of 3/4. *)
+val create : ?shards:int -> unit -> t
 
 (** Test-and-insert; [true] iff the fingerprint was new and this call
     won it. *)
 val add : t -> Fingerprint.t -> bool
 
-(** Claim a whole expansion's worth of fingerprints in one two-phase
-    probe: lock-free duplicate filtering, then one shard-lock round
-    per distinct shard among the survivors. [(add_batch t fps).(i)]
-    iff [fps.(i)] was fresh and won by this call (equal fingerprints
-    within a batch are won at most once). *)
-val add_batch : t -> Fingerprint.t array -> bool array
-
 val mem : t -> Fingerprint.t -> bool
 
 (** Iterate every stored fingerprint (shard locks taken in turn; exact
-    only when no domain is inserting) — checkpoint serialization. *)
+    only when no domain is inserting) — checkpoint serialization. The
+    lanes come back with their tag bit set; {!add} maps them to the
+    same entry. *)
 val iter : t -> (Fingerprint.t -> unit) -> unit
 
 (** Total entries (exact only when no domain is inserting). *)
@@ -50,5 +48,6 @@ val approx_size : t -> int
     sampler polling it cannot stall a worker. *)
 val approx_stats : t -> stats
 
-(** Per-shard occupancy spread (exact only when quiesced). *)
+(** Per-shard occupancy spread and table footprint (exact only when
+    quiesced). *)
 val stats : t -> stats

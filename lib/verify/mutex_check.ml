@@ -107,7 +107,7 @@ let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
   let programs = Array.init nprocs program in
   (lock, counter, Config.make ?compile ~model ~layout programs)
 
-let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
+let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth
     ?report_visited ?(engine = `Parallel 1) ?(por = false) ?reorder_bound
     ?checkpoint ?resume ~model factory ~nprocs : verdict =
   if (checkpoint <> None || resume <> None) && reorder_bound = Some `Deepen then
@@ -127,14 +127,14 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     match reorder_bound with
     | None ->
         let r =
-          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?report_visited
             ?max_states ?max_depth ~max_violations:1 ?checkpoint ?resume
             ~monitor:cs_monitor ~init:Pid.Set.empty ~on_final cfg
         in
         (r, None, true, [])
     | Some (`K k) ->
         let r =
-          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~reorder_bound:k
             ?checkpoint ?resume ~monitor:cs_monitor ~init:Pid.Set.empty
             ~on_final cfg
@@ -148,7 +148,7 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     | Some `Deepen ->
         let (`Parallel jobs) = engine in
         let d =
-          Mc.deepen ?tel ~jobs ~por ?expected_states ?report_visited
+          Mc.deepen ?tel ~jobs ~por ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~monitor:cs_monitor
             ~init:Pid.Set.empty ~on_final cfg
         in

@@ -47,11 +47,10 @@ val workload :
 (** [engine] selects the [Mc] engine's domain count: [`Parallel 1]
     (default) or [`Parallel j], optionally with partial-order reduction
     ([por]). The occupancy monitor is note-driven, so POR preserves its
-    verdicts while visiting fewer states. [expected_states] pre-sizes
-    the engine's visited set; [report_visited] receives its occupancy
-    statistics when the run finishes. [tel] plugs a
-    {!Telemetry.Hub.t} into the run for live progress and NDJSON stats
-    (see {!Mc.run}).
+    verdicts while visiting fewer states. [report_visited] receives
+    the engine's visited-set statistics when the run finishes. [tel]
+    plugs a {!Telemetry.Hub.t} into the run for live progress and
+    NDJSON stats (see {!Mc.run}).
 
     [reorder_bound] checks the reorder-bounded under-approximation:
     [`K k] with a fixed budget (the verdict records whether the run
@@ -67,7 +66,7 @@ val workload :
 val check :
   ?tel:Telemetry.Hub.t -> ?compile:bool ->
   ?rounds:int -> ?max_states:int -> ?max_depth:int ->
-  ?expected_states:int -> ?report_visited:(Mc.Visited.stats -> unit) ->
+  ?report_visited:(Mc.Visited.stats -> unit) ->
   ?engine:Mc.engine -> ?por:bool -> ?reorder_bound:bound_mode ->
   ?checkpoint:int * (Mc.checkpoint -> unit) -> ?resume:Mc.checkpoint ->
   model:Memory_model.t ->

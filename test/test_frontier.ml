@@ -1,7 +1,7 @@
 (* Frontier machinery tests: Chase–Lev deque semantics (owner LIFO,
    thief FIFO, growth, cross-domain conservation), distributed
    termination of the work-stealing frontier with 1 and 8 workers, and
-   the batched two-phase visited-set probe. *)
+   the hash-compaction visited set (claims, a model test, races). *)
 
 open Mc
 
@@ -182,21 +182,21 @@ let frontier_stop_releases () =
     (consumed >= 0 && consumed <= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Visited: batched two-phase probe                                    *)
+(* Visited: hash-compaction set                                        *)
 (* ------------------------------------------------------------------ *)
 
 let fp i = { Fingerprint.a = (i * 0x9e3779b9) lxor 0x5bd1e995; b = i }
 
-let visited_add_batch () =
-  let v = Visited.create ~shards:8 ~expected_states:1_000 () in
+let visited_claims () =
+  let v = Visited.create ~shards:8 () in
   Alcotest.(check bool) "first add wins" true (Visited.add v (fp 0));
   Alcotest.(check bool) "second add loses" false (Visited.add v (fp 0));
-  let wins = Visited.add_batch v [| fp 1; fp 1; fp 2; fp 0; fp 3 |] in
+  let wins = Array.map (Visited.add v) [| fp 1; fp 1; fp 2; fp 0; fp 3 |] in
   Alcotest.(check (array bool))
-    "batch: fresh won once, dup and visited lost"
+    "fresh won once, dup and visited lost"
     [| true; false; true; false; true |]
     wins;
-  Alcotest.(check bool) "batched entries are members" true
+  Alcotest.(check bool) "claimed entries are members" true
     (Visited.mem v (fp 1) && Visited.mem v (fp 2) && Visited.mem v (fp 3));
   Alcotest.(check bool) "unseen is not a member" false (Visited.mem v (fp 42));
   Alcotest.(check int) "size counts distinct" 4 (Visited.size v);
@@ -206,14 +206,20 @@ let visited_add_batch () =
   Alcotest.(check bool) "max >= mean >= 0" true
     (float_of_int s.Visited.max_occupancy >= s.Visited.mean_occupancy
     && s.Visited.mean_occupancy >= 0.);
-  Alcotest.(check bool) "skew >= 1 when non-empty" true (s.Visited.skew >= 1.)
+  Alcotest.(check bool) "skew >= 1 when non-empty" true (s.Visited.skew >= 1.);
+  Alcotest.(check bool) "bytes cover 16 per entry" true
+    (s.Visited.bytes >= 16 * s.Visited.entries);
+  (* bit 0 of each lane is the tag: the set tells lanes apart on the
+     other bits only *)
+  Alcotest.(check bool) "lanes differing in bit 0 only are one entry" false
+    (Visited.add v { Fingerprint.a = (fp 2).a lxor 1; b = (fp 2).b lxor 1 })
 
-(* Two domains racing the same batch: each fingerprint is won exactly
-   once across both. *)
-let visited_batch_race () =
+(* Two domains racing [add] over the same fingerprints: each is won
+   exactly once across both. *)
+let visited_add_race () =
   let v = Visited.create ~shards:16 () in
   let fps = Array.init 5_000 fp in
-  let claim () = Visited.add_batch v fps in
+  let claim () = Array.map (Visited.add v) fps in
   let other = Domain.spawn claim in
   let mine = claim () in
   let theirs = Domain.join other in
@@ -225,6 +231,102 @@ let visited_batch_race () =
         (mine.(i) <> theirs.(i)))
     fps;
   Alcotest.(check int) "all present" (Array.length fps) (Visited.size v)
+
+(* Model test: one shard, from its first table through several
+   growths, against a [Hashtbl] keyed on the set's identity — both
+   lanes with the tag bit set. Lanes come from the edge values, a
+   small shared pool (equal lane a with different lane b, equal shard
+   lane) and the full int range. *)
+let visited_model =
+  let edge = [ 0; -1; min_int; max_int ] in
+  let pool = [ 0x5bd1e995; 42; 1 lsl 40; -7; 2; 3 ] in
+  let lane =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl edge); (2, oneofl (edge @ pool)); (3, int) ])
+  in
+  let gen_fp = QCheck.Gen.map2 (fun a b -> { Fingerprint.a; b }) lane lane in
+  let arb =
+    QCheck.make
+      ~print:(fun fps ->
+        String.concat " "
+          (List.map (Fmt.str "%a" Fingerprint.pp) fps))
+      QCheck.Gen.(list_size (int_range 0 600) gen_fp)
+  in
+  let key (f : Fingerprint.t) = (f.a lor 1, f.b lor 1) in
+  QCheck.Test.make ~name:"visited: model test against Hashtbl" ~count:200 arb
+    (fun fps ->
+      let v = Visited.create ~shards:1 () in
+      let model = Hashtbl.create 64 in
+      let adds_agree =
+        List.for_all
+          (fun f ->
+            let fresh = not (Hashtbl.mem model (key f)) in
+            Hashtbl.replace model (key f) ();
+            Visited.add v f = fresh && Visited.mem v f)
+          fps
+      in
+      let members_agree =
+        List.for_all
+          (fun f ->
+            let g = { f with Fingerprint.b = f.Fingerprint.b lxor 2 } in
+            Visited.mem v g = Hashtbl.mem model (key g))
+          fps
+      in
+      let yielded = ref [] in
+      Visited.iter v (fun f -> yielded := f :: !yielded);
+      let keys = Hashtbl.fold (fun k () acc -> k :: acc) model [] in
+      let round_trip_same =
+        List.for_all (fun f -> not (Visited.add v f)) !yielded
+      in
+      let fresh = Visited.create ~shards:1 () in
+      List.iter (fun f -> ignore (Visited.add fresh f)) !yielded;
+      adds_agree && members_agree
+      && Visited.size v = Hashtbl.length model
+      && List.sort compare (List.map key !yielded) = List.sort compare keys
+      && round_trip_same
+      && Visited.size fresh = Visited.size v)
+
+(* Growth race: one domain inserts 200k fingerprints into a single
+   shard (so its table is replaced again and again) while the other
+   probes fingerprints that share lane a with recent inserts but are
+   never inserted — the half-written and mid-growth cases. [mem] must
+   never claim one. *)
+let visited_growth_race () =
+  let n = 200_000 in
+  let v = Visited.create ~shards:1 () in
+  let a i = (i * 0x1e3779b97f4a7c15) lxor 0x5bd1e995 in
+  let inserted i = { Fingerprint.a = a i; b = (i + 1) lsl 2 } in
+  (* lane b 0 is what an unwritten lane reads as *)
+  let never i = { Fingerprint.a = a i; b = 0 } in
+  let progress = Atomic.make 0 and finished = Atomic.make false in
+  let prober =
+    Domain.spawn (fun () ->
+        let false_positives = ref 0 and probes = ref 0 in
+        while not (Atomic.get finished) do
+          let p = Atomic.get progress in
+          for i = max 0 (p - 32) to p + 32 do
+            incr probes;
+            if Visited.mem v (never i) then incr false_positives
+          done
+        done;
+        (!false_positives, !probes))
+  in
+  for i = 0 to n - 1 do
+    ignore (Visited.add v (inserted i));
+    Atomic.set progress i
+  done;
+  Atomic.set finished true;
+  let false_positives, probes = Domain.join prober in
+  Alcotest.(check int) "no false positive while tables are replaced" 0
+    false_positives;
+  Alcotest.(check bool) "the prober ran" true (probes > 0);
+  Alcotest.(check int) "size exact" n (Visited.size v);
+  let all = ref true in
+  for i = 0 to n - 1 do
+    if not (Visited.mem v (inserted i)) then all := false
+  done;
+  Alcotest.(check bool) "every insert is a member" true !all
 
 let suite =
   ( "frontier",
@@ -239,7 +341,10 @@ let suite =
         frontier_terminates_8_workers;
       Alcotest.test_case "frontier: stop releases sleepers" `Quick
         frontier_stop_releases;
-      Alcotest.test_case "visited: batched claims" `Quick visited_add_batch;
-      Alcotest.test_case "visited: racing batches split wins" `Quick
-        visited_batch_race;
+      Alcotest.test_case "visited: claims and stats" `Quick visited_claims;
+      Alcotest.test_case "visited: racing adds split wins" `Quick
+        visited_add_race;
+      QCheck_alcotest.to_alcotest visited_model;
+      Alcotest.test_case "visited: growth race has no false positive" `Quick
+        visited_growth_race;
     ] )

@@ -301,7 +301,27 @@ let sampler_ndjson_shape () =
   Alcotest.(check int) "exactly one final sample, flushed by stop" 1
     (List.length finals);
   Alcotest.(check bool) "final sample is the last line" true
-    (List.nth lines (List.length lines - 1) = List.hd finals)
+    (List.nth lines (List.length lines - 1) = List.hd finals);
+  (* the engine's vocabulary: counters, then its live gauges *)
+  with_temp_file @@ fun path ->
+  let tel = Telemetry.Hub.create ~workers:1 () in
+  let sink = Telemetry.Sink.create path in
+  let sampler =
+    Telemetry.Sampler.start ~hub:tel ~interval:0.02 ~label:"test" ~sink ()
+  in
+  ignore (check_bakery ~tel ~engine:(`Parallel 1) ());
+  Telemetry.Sampler.stop sampler;
+  Telemetry.Sink.close sink;
+  let lines = read_lines path in
+  Alcotest.(check (list string)) "engine sample schema, in order"
+    [
+      "type"; "t_s"; "final"; "expansions"; "children"; "dedup_hits";
+      "por_prunes"; "bound_hits"; "steals"; "sleeps"; "sleep_ns"; "states";
+      "transitions"; "frontier"; "visited"; "visited_skew"; "visited_bytes";
+    ]
+    (parse_flat_json (List.nth lines (List.length lines - 1)));
+  Alcotest.(check bool) "visited_bytes gauge is live" true
+    (Option.get (Telemetry.Hub.read tel "visited_bytes") > 0.)
 
 let suite =
   ( "telemetry",
