@@ -44,17 +44,20 @@ mc-bench:
 	dune exec bench/main.exe -- MC
 
 # Capped MC bench run doubling as a scaling-regression guard: sweeps
-# j in {1,4} and exits 1 if j=4 aggregate throughput regresses below
-# j=1 (on a single-CPU box, if mc j=1 falls below 0.8x the exact-key
-# reference explorer, Explore.reference, on the same three
-# workloads). Never touches the committed BENCH_mc.json numbers.
+# j in {1, min(4, cpus)} and exits 1 if that j's aggregate throughput
+# regresses below j=1 in the median of three alternating run pairs —
+# more domains than CPUs would measure contention, not scaling, and a
+# single short run is at the mercy of a neighbour's burst (on a
+# single-CPU box, if mc j=1 falls below
+# 0.8x the exact-key reference explorer, Explore.reference, on the
+# same three workloads). Never touches the committed BENCH_mc.json numbers.
 # The guard runs with telemetry always-on bumps compiled in, so a
 # regression in the zero-cost-when-off discipline fails here too.
 # The second step exercises the observability surface end to end:
 # a capped check with live progress writing BENCH_check.ndjson
 # (uploaded as a CI artifact).
 bench-smoke:
-	BENCH_MC_CAP=200000 BENCH_MC_JOBS=1,4 BENCH_MC_GUARD=1 \
+	BENCH_MC_CAP=200000 BENCH_MC_GUARD=1 \
 	dune exec bench/main.exe -- MC
 	dune exec bin/fencelab_cli.exe -- check bakery -n 3 --max-states 50000 \
 	-j 1 --progress --interval 0.2 --stats-out BENCH_check.ndjson

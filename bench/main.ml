@@ -467,7 +467,10 @@ let mc () =
      capped runs never overwrite the committed BENCH_mc.json numbers.
      BENCH_MC_JOBS picks the domain counts to sweep (default 1,2,4,8).
      BENCH_MC_GUARD=1 turns the run into a scaling-regression guard:
-     exit 1 if the aggregate j=4 throughput falls below j=1. On a
+     exit 1 if the aggregate throughput at j = min(4, cpus) falls
+     below j=1 in the median of three alternating pairs of runs — more
+     domains than CPUs measures contention, not scaling; with
+     BENCH_MC_JOBS unset the table sweeps exactly those two. On a
      single-CPU box domain scaling is unmeasurable (extra domains only
      add stop-the-world GC synchronization), so the guard degrades to
      a serial-overhead check: mc j=1 must stay within 0.8x of the
@@ -481,8 +484,12 @@ let mc () =
             Fmt.invalid_arg "BENCH_MC_CAP must be a positive integer: %S" s)
     | None -> (2_000_000, false)
   in
+  let guard = Sys.getenv_opt "BENCH_MC_GUARD" <> None in
+  let cpus = Domain.recommended_domain_count () in
+  let guard_j = min 4 cpus in
   let jobs_sweep =
     match Sys.getenv_opt "BENCH_MC_JOBS" with
+    | None when guard -> List.sort_uniq compare [ 1; guard_j ]
     | None -> [ 1; 2; 4; 8 ]
     | Some s ->
         String.split_on_char ',' s
@@ -495,8 +502,6 @@ let mc () =
                       integers: %S"
                      s)
   in
-  let guard = Sys.getenv_opt "BENCH_MC_GUARD" <> None in
-  let cpus = Domain.recommended_domain_count () in
   let workloads = [ ("bakery", 3); ("tournament", 3); ("gt:2", 3) ] in
   (* [None] is the exact-key reference explorer (Explore.reference),
      the serial baseline; it has no telemetry, so its counter columns
@@ -761,21 +766,53 @@ let mc () =
           | None -> acc)
         0. workloads
     in
-    let r0 = aggregate 0 and r1 = aggregate 1 and r4 = aggregate 4 in
+    let r0 = aggregate 0 and r1 = aggregate 1 in
     if cpus >= 2 then begin
-      if r1 <= 0. || r4 <= 0. then begin
-        Fmt.epr "guard: need j=1 and j=4 in the sweep (BENCH_MC_JOBS=%s)@."
-          (String.concat "," (List.map string_of_int jobs_sweep));
-        exit 1
-      end;
-      let ratio = r4 /. r1 in
-      Fmt.pr "@.guard: aggregate j=4 / j=1 = %.2f (floor 1.00, %d CPUs)@."
-        ratio cpus;
+      (* Scaling is judged on its own alternating pairs rather than the
+         table's single rows: a capped run lasts ~0.3 s, and on a
+         shared box one neighbour's burst can slow either side of a
+         single comparison by a third. Three pairs, the side that runs
+         first alternating; each pair's aggregate ratio over the three
+         workloads, and the guard reads the median pair. *)
+      let rate (name, nprocs) j =
+        let t0 = Unix.gettimeofday () in
+        let v =
+          Verify.Mutex_check.check ~max_states:cap ~engine:(`Parallel j)
+            ~model:Memory_model.Pso (lock name) ~nprocs
+        in
+        float_of_int v.Verify.Mutex_check.stats.Explore.states
+        /. (Unix.gettimeofday () -. t0)
+      in
+      let pair k =
+        List.fold_left
+          (fun (a1, aj) w ->
+            if k mod 2 = 0 then
+              let r1 = rate w 1 in
+              (a1 +. r1, aj +. rate w guard_j)
+            else
+              let rj = rate w guard_j in
+              (a1 +. rate w 1, aj +. rj))
+          (0., 0.) workloads
+      in
+      let pairs =
+        List.sort
+          (fun (r1, rj) (r1', rj') -> compare (rj /. r1) (rj' /. r1'))
+          (List.init 3 pair)
+      in
+      let r1, rj = List.nth pairs 1 in
+      let ratio = rj /. r1 in
+      Fmt.pr
+        "@.guard: aggregate j=%d / j=1 = %.2f, median of 3 alternating pairs \
+         (%s; floor 1.00, %d CPUs)@."
+        guard_j ratio
+        (String.concat ", "
+           (List.map (fun (r1, rj) -> Fmt.str "%.2f" (rj /. r1)) pairs))
+        cpus;
       if ratio < 1.0 then begin
         Fmt.epr
-          "guard: parallel scaling regression — j=4 aggregate %.0f st/s \
+          "guard: parallel scaling regression — j=%d aggregate %.0f st/s \
            vs j=1 %.0f st/s@."
-          r4 r1;
+          guard_j rj r1;
         exit 1
       end
     end

@@ -11,15 +11,17 @@
       in its hand) and steals from a sibling's top only when dry — no
       lock and no shared queue on the common path, which is what made
       the former injection-queue design scale negatively with domains;
-    - states are deduplicated {e at creation}: an expansion executes
-      its edges, normalizes each child (label flushing), monitors the
-      pending notes, and then claims each child with {!Visited.add} (a
+    - states are deduplicated {e at creation}, and probed before they
+      are built: an expansion steps each edge into a delta
+      ([Exec.step]), monitors its steps, settles the stepped process's
+      labels and monitors their notes, keys the child from the delta
+      ([Fingerprint.step]) and claims the key with {!Visited.add} (a
       lock-free racy probe of the shard's flat table, then a locked
-      re-check and insert for the survivors). Only claim winners
-      become tasks, so duplicate states — the majority, on lock
-      workloads — never travel through the deques at all;
-    - each task carries its fingerprint, updated in O(1) per edge and
-      per flushed label from [Exec.exec_elt_d]'s dirty reports;
+      re-check and insert for the survivors). Only claim winners get
+      a configuration ([Config.apply]) and a task, so duplicate states
+      — the majority, on lock workloads — are never built and never
+      travel through the deques;
+    - each task carries its fingerprint, updated in O(1) per edge;
     - with [por], each expansion first looks for a persistent-singleton
       safe step ({!Por}); finding one prunes every sibling
       interleaving;
@@ -87,56 +89,96 @@ type checkpoint = {
   ck_deadlocks : Exec.elt list list;
 }
 
-(** Rebuild the task a schedule-element path leads to, mirroring the
-    engine's root and child construction step for step (same label
-    flushing, same incremental fingerprints, same monitor threading) —
-    checkpoint resume reconstructs pending tasks from their recorded
-    paths. Raises [Invalid_argument] if the monitor rejects along the
-    way: a checkpoint never stores a violating pending path, so that
-    means the checkpoint does not belong to this workload. *)
+(* The one child path. Every child goes through it — an expansion's
+   children, each process's label run at the root, each element of a
+   replayed checkpoint path — so a resume cannot drift from the live
+   run. In order: monitor the element's steps; settle the stepped
+   process's labels (the parent is normalized, so only it can be
+   poised at one) and monitor their notes; key the child from the
+   delta; [claim] the key. Only a winner is built: [install] makes its
+   task, and with it the configuration ([Config.apply]). Duplicates,
+   the majority of children on lock workloads, build neither. A
+   monitor rejection calls [reject] with the monitor value before the
+   rejected steps and yields no child. Hooks are passed as static or
+   per-run closures, so no closure is allocated per child. *)
+let rec child ~monitor ~claim ~reject ~install (t : 'm task) elt
+    (d : Config.delta) =
+  match monitor_steps monitor t.m d.Config.steps with
+  | Error message ->
+      reject t elt t.m message;
+      None
+  | Ok m when not (Exec.unsettled d) -> claim_child ~claim ~install t elt m d
+  | Ok m -> (
+      let notes, d = Exec.settle d in
+      match monitor_steps monitor m notes with
+      | Error message ->
+          reject t elt m message;
+          None
+      | Ok m -> claim_child ~claim ~install t elt m d)
+
+and claim_child ~claim ~install t elt m d =
+  let fp = Fingerprint.step t.fp t.cfg d in
+  if claim t.cfg d fp then Some (install t elt m d fp) else None
+
+(* [install] for an edge: the child one element deeper. *)
+let extended t elt m d fp =
+  {
+    cfg = Config.apply t.cfg d;
+    fp;
+    m;
+    rev_path = elt :: t.rev_path;
+    depth = t.depth + 1;
+  }
+
+(* [install] for the root's label settling: same path, same depth. *)
+let normalized t _elt m d fp = { t with cfg = Config.apply t.cfg d; fp; m }
+
+let claim_any (_ : Config.t) (_ : Config.delta) (_ : Fingerprint.t) = true
+
+(* The root task: [cfg0] normalized process by process, each one's
+   pending labels settled as a child of the partly normalized root. The
+   element passed along is unused by [normalized]; a rejection reports
+   it to [reject], which decides what a root violation records. *)
+let root_task ~monitor ~reject ~init cfg0 =
+  let n = Config.nprocs cfg0 in
+  let rec go p t =
+    if p >= n then Some t
+    else
+      match
+        child ~monitor ~claim:claim_any ~reject ~install:normalized t
+          cfg0.Config.op_elts.(p) (Config.idle t.cfg p)
+      with
+      | Some t -> go (p + 1) t
+      | None -> None
+  in
+  go 0
+    {
+      cfg = cfg0;
+      fp = Fingerprint.of_config cfg0;
+      m = init;
+      rev_path = [];
+      depth = 0;
+    }
+
+(** Rebuild the task a schedule-element path leads to through the
+    child path (same label settling, same incremental fingerprints,
+    same monitor threading) — checkpoint resume reconstructs pending
+    tasks from their recorded paths. Raises [Invalid_argument] if the
+    monitor rejects along the way: a checkpoint never stores a
+    violating pending path, so that means the checkpoint does not
+    belong to this workload. *)
 let replay_task (type m)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     (cfg0 : Config.t) (path : Exec.elt list) : m task =
-  let fail msg = Fmt.invalid_arg "Mc.replay_task: monitor rejects: %s" msg in
-  let root =
-    let notes, cfg, dirtied = Exec.flush_labels_d cfg0 in
-    let fp =
-      List.fold_left
-        (fun fp p ->
-          Fingerprint.update fp ~before:cfg0 ~after:cfg
-            (Exec.dirty_of p ~mem:false))
-        (Fingerprint.of_config cfg0)
-        dirtied
-    in
-    match monitor_steps monitor init notes with
-    | Error msg -> fail msg
-    | Ok m -> { cfg; fp; m; rev_path = []; depth = 0 }
+  let reject _ _ _ msg =
+    Fmt.invalid_arg "Mc.replay_task: monitor rejects: %s" msg
   in
+  let root = Option.get (root_task ~monitor ~reject ~init cfg0) in
   List.fold_left
     (fun t elt ->
-      let steps, cfg', d = Exec.exec_elt_d t.cfg elt in
-      match monitor_steps monitor t.m steps with
-      | Error msg -> fail msg
-      | Ok m -> (
-          let fp = Fingerprint.update t.fp ~before:t.cfg ~after:cfg' d in
-          let notes, ncfg, dirtied = Exec.flush_labels_d cfg' in
-          let fp =
-            List.fold_left
-              (fun fp p ->
-                Fingerprint.update fp ~before:cfg' ~after:ncfg
-                  (Exec.dirty_of p ~mem:false))
-              fp dirtied
-          in
-          match monitor_steps monitor m notes with
-          | Error msg -> fail msg
-          | Ok m ->
-              {
-                cfg = ncfg;
-                fp;
-                m;
-                rev_path = elt :: t.rev_path;
-                depth = t.depth + 1;
-              }))
+      Option.get
+        (child ~monitor ~claim:claim_any ~reject ~install:extended t elt
+           (Exec.step t.cfg elt)))
     root path
 
 let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
@@ -284,60 +326,103 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
     end;
     Mutex.unlock sync
   in
-  (* Visited-set key of a normalized child: its fingerprint, mixed
-     with the budget term under a bound — the flag bitsets are part of
-     the bounded state: two paths to the same semantic state with
-     different reorderings in flight have different admissible futures.
-     Flag-free states mix the zero term, keeping their plain keys. *)
-  let key (c : m task) =
-    match bound with
-    | None -> c.fp
-    | Some _ -> Fingerprint.mix c.fp (Fingerprint.budget_term c.cfg)
+  (* Bounded runs key a child on its fingerprint mixed with its budget
+     term — the flag bitsets are part of the bounded state: two paths
+     to the same semantic state with different reorderings in flight
+     have different admissible futures. Flag-free states mix the zero
+     term, keeping their plain keys. An expansion stores its parent's
+     term in its worker's slot, so a child's term is an O(1) update. *)
+  let parent_budget = Array.make jobs { Fingerprint.a = 0; b = 0 } in
+  (* Per-worker claim hooks, built once: claim the child's key, count
+     the winner or the duplicate. *)
+  let claims =
+    Array.init jobs (fun w ->
+        let claim cfg d fp =
+          let key =
+            match bound with
+            | None -> fp
+            | Some _ ->
+                Fingerprint.mix fp
+                  (Fingerprint.budget_step parent_budget.(w) cfg d)
+          in
+          if Visited.add visited key then begin
+            Atomic.incr states;
+            true
+          end
+          else begin
+            Telemetry.Cells.incr c_dedup ~worker:w;
+            false
+          end
+        in
+        claim)
+  in
+  let reject (t : m task) elt m message =
+    record_violation
+      { Explore.message; path = List.rev (elt :: t.rev_path); monitor = m }
   in
   (* Bounded admissibility of an edge, judged on its successor: more
      reorderings in flight than the budget excludes the edge from the
-     bounded transition system. *)
-  let admissible cfg' =
+     bounded transition system. [in_flight] is the parent's count. *)
+  let admissible cfg in_flight d =
     match bound with
     | None -> true
-    | Some k -> Config.reorders_in_flight cfg' <= k
+    | Some k -> Config.reorders_after in_flight cfg d <= k
+  in
+  (* The claim winners among [edges] (element, delta pairs), first
+     child first. *)
+  let rec claim_edges claim t = function
+    | [] -> []
+    | (elt, d) :: rest -> (
+        match child ~monitor ~claim ~reject ~install:extended t elt d with
+        | Some c -> c :: claim_edges claim t rest
+        | None -> claim_edges claim t rest)
+  in
+  (* The unreduced, unbounded expansion: every element is an edge,
+     stepped straight into the child path — no edge list. *)
+  let rec claim_elts claim t = function
+    | [] -> []
+    | elt :: rest -> (
+        match
+          child ~monitor ~claim ~reject ~install:extended t elt
+            (Exec.step t.cfg elt)
+        with
+        | Some c -> c :: claim_elts claim t rest
+        | None -> claim_elts claim t rest)
   in
   (* POR edge selection: a single safe step when one exists, the full
-     expansion otherwise. Probing a candidate means executing it;
+     expansion otherwise. Probing a candidate means stepping it;
      failed probes are recycled into the full expansion so no element
-     is executed twice. Each edge carries its dirty report so child
-     fingerprints are O(1) updates. (Without POR the expansion loop
-     executes elements directly — every element is an edge.) *)
-  let select_edges cfg elts =
-    let exec e = Exec.exec_elt_d cfg e in
+     is stepped twice. Inadmissible edges are dropped and counted. *)
+  let select_edges cfg in_flight elts =
+    let step e = Exec.step cfg e in
     let nbound = ref 0 in
     let edges =
       (let rec probe probed = function
           | [] -> `Full probed
           | p :: ps ->
               let e : Exec.elt = (p, None) in
-              let ((_, cfg', _) as res) = exec e in
+              let d = step e in
               (* the budget-aware filter already vouches for the
                  candidate's admissibility; the successor check stays
                  as defense in depth — an over-budget ample candidate
                  cannot stand for its siblings and falls back to the
                  full (filtered) expansion, where it is pruned like any
                  other inadmissible edge *)
-              if Por.invisible_after cfg' p && admissible cfg' then
-                `Ample (e, res)
-              else probe ((e, res) :: probed) ps
+              if Por.invisible_after d && admissible cfg in_flight d then
+                `Ample (e, d)
+              else probe ((e, d) :: probed) ps
         in
        match probe [] (Por.ample_candidates ?bound cfg) with
-       | `Ample (e, res) -> [ (e, res) ]
+       | `Ample (e, d) -> [ (e, d) ]
        | `Full probed ->
            List.filter_map
              (fun e ->
-               let ((_, cfg', _) as res) =
+               let d =
                  match List.assoc_opt e probed with
-                 | Some res -> res
-                 | None -> exec e
+                 | Some d -> d
+                 | None -> step e
                in
-               if admissible cfg' then Some (e, res)
+               if admissible cfg in_flight d then Some (e, d)
                else begin
                  incr nbound;
                  None
@@ -346,14 +431,29 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
     in
     (edges, !nbound)
   in
-  (* Expand one claimed, normalized task: fire its hooks, execute and
-     monitor every chosen edge, normalize and monitor each child, then
-     claim the whole brood in one batched visited probe. Returns the
-     claim winners in exploration order (first child first); only they
-     become tasks. Mirrors Explore.reference edge for edge — the same
-     elements are executed, the same notes monitored, each distinct
-     normalized state claimed once — with dedup moved from child entry
-     to child creation. *)
+  (* one atomic add per expansion, not one per edge *)
+  let count_edges w n =
+    ignore (Atomic.fetch_and_add transitions n);
+    Telemetry.Cells.add c_children ~worker:w n
+  in
+  let record_bound_hits w t n =
+    if n > 0 then begin
+      ignore (Atomic.fetch_and_add bound_hits n);
+      Telemetry.Cells.add c_bound ~worker:w n;
+      (* a pruned edge makes this a boundary state: the deepening
+         driver re-seeds it at the next level, where already-admitted
+         children dedup away and the newly admitted ones get claimed *)
+      note_boundary t
+    end
+  in
+  (* Expand one claimed, normalized task: fire its hooks, then send
+     each chosen edge down the child path. Returns the claim winners in
+     exploration order (first child first); only they become tasks.
+     Mirrors Explore.reference edge for edge — the same elements are
+     executed, the same steps and notes monitored (violations on
+     duplicate paths are real verdicts), each distinct normalized state
+     claimed once — with dedup moved from child entry to child
+     creation. *)
   let expand w (t : m task) : m task list =
     if
       Atomic.get states >= max_states
@@ -391,143 +491,47 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
           []
         end
         else begin
-          (* Build one normalized, note-monitored candidate per edge.
-             Dedup happens after — so exactly like the historical
-             entry-time dedup, duplicate children still have their
-             edge steps and flush notes monitored (violations on
-             duplicate paths are real verdicts). *)
-          let child elt ((steps, cfg', d) : Step.t list * Config.t * Exec.dirty)
-              =
-            match monitor_steps monitor t.m steps with
-            | Error message ->
-                record_violation
-                  {
-                    Explore.message;
-                    path = List.rev (elt :: t.rev_path);
-                    monitor = t.m;
-                  };
-                None
-            | Ok m -> (
-                let fp = Fingerprint.update t.fp ~before:cfg ~after:cfg' d in
-                let notes, ncfg, dirtied = Exec.flush_labels_d cfg' in
-                (* carry the fingerprint across normalization: each
-                   flushed pid changed its pstate exactly once, so
-                   folding per-pid updates is exact *)
-                let fp =
-                  List.fold_left
-                    (fun fp p ->
-                      Fingerprint.update fp ~before:cfg' ~after:ncfg
-                        (Exec.dirty_of p ~mem:false))
-                    fp dirtied
-                in
-                match monitor_steps monitor m notes with
-                | Error message ->
-                    record_violation
-                      {
-                        Explore.message;
-                        path = List.rev (elt :: t.rev_path);
-                        monitor = m;
-                      };
-                    None
-                | Ok m' ->
-                    Some
-                      {
-                        cfg = ncfg;
-                        fp;
-                        m = m';
-                        rev_path = elt :: t.rev_path;
-                        depth = t.depth + 1;
-                      })
+          let claim = claims.(w) in
+          let in_flight =
+            match bound with
+            | None -> 0
+            | Some _ ->
+                parent_budget.(w) <- Fingerprint.budget_term cfg;
+                Config.reorders_in_flight cfg
           in
-          let record_bound_hits n =
-            if n > 0 then begin
-              ignore (Atomic.fetch_and_add bound_hits n);
-              Telemetry.Cells.add c_bound ~worker:w n;
-              (* a pruned edge makes this a boundary state: the
-                 deepening driver re-seeds it at the next level, where
-                 already-admitted children dedup away and the newly
-                 admitted ones get claimed *)
-              note_boundary t
-            end
-          in
-          let candidates =
-            (* one atomic add per expansion, not one per edge; in the
-               common non-POR case every element is an edge, so no
-               intermediate edge list is materialized *)
-            match (por, bound) with
-            | false, None ->
-                let n = List.length elts in
-                ignore (Atomic.fetch_and_add transitions n);
-                Telemetry.Cells.add c_children ~worker:w n;
+          match (por, bound) with
+          | false, None ->
+              count_edges w (List.length elts);
+              claim_elts claim t elts
+          | false, Some _ ->
+              (* step first, admit after: an over-budget edge is
+                 excluded from the bounded transition system — never
+                 counted as a transition, never monitored *)
+              let nbound = ref 0 in
+              let admitted =
                 List.filter_map
-                  (fun elt -> child elt (Exec.exec_elt_d cfg elt))
+                  (fun elt ->
+                    let d = Exec.step cfg elt in
+                    if admissible cfg in_flight d then Some (elt, d)
+                    else begin
+                      incr nbound;
+                      None
+                    end)
                   elts
-            | false, Some _ ->
-                (* execute first, admit after: an over-budget edge is
-                   excluded from the bounded transition system — never
-                   counted as a transition, never monitored *)
-                let nbound = ref 0 in
-                let admitted =
-                  List.filter_map
-                    (fun elt ->
-                      let ((_, cfg', _) as res) = Exec.exec_elt_d cfg elt in
-                      if admissible cfg' then Some (elt, res)
-                      else begin
-                        incr nbound;
-                        None
-                      end)
-                    elts
-                in
-                record_bound_hits !nbound;
-                let n = List.length admitted in
-                ignore (Atomic.fetch_and_add transitions n);
-                Telemetry.Cells.add c_children ~worker:w n;
-                List.filter_map (fun (elt, res) -> child elt res) admitted
-            | true, _ ->
-                let edges, nbound = select_edges cfg elts in
-                record_bound_hits nbound;
-                let n = List.length edges in
-                ignore (Atomic.fetch_and_add transitions n);
-                Telemetry.Cells.add c_children ~worker:w n;
-                (* an ample step prunes every sibling interleaving;
-                   bound-pruned edges are not POR prunes *)
-                Telemetry.Cells.add c_por ~worker:w
-                  (List.length elts - n - nbound);
-                List.filter_map (fun (elt, res) -> child elt res) edges
-          in
-          match candidates with
-          | [] -> []
-          | [ c ] ->
-              (* single candidate: plain add *)
-              if Visited.add visited (key c) then begin
-                Atomic.incr states;
-                [ c ]
-              end
-              else begin
-                Telemetry.Cells.incr c_dedup ~worker:w;
-                []
-              end
-          | _ ->
-              (* per-candidate adds: {!Visited.add} is atomic per
-                 fingerprint (racy pre-check, locked re-check), so a
-                 duplicate within the same expansion still wins at most
-                 once *)
-              let ntotal = ref 0 and nclaimed = ref 0 in
-              let claimed =
-                List.filter
-                  (fun c ->
-                    incr ntotal;
-                    Visited.add visited (key c)
-                    && begin
-                         incr nclaimed;
-                         true
-                       end)
-                  candidates
               in
-              if !nclaimed > 0 then
-                ignore (Atomic.fetch_and_add states !nclaimed);
-              Telemetry.Cells.add c_dedup ~worker:w (!ntotal - !nclaimed);
-              claimed
+              record_bound_hits w t !nbound;
+              count_edges w (List.length admitted);
+              claim_edges claim t admitted
+          | true, _ ->
+              let edges, nbound = select_edges cfg in_flight elts in
+              record_bound_hits w t nbound;
+              let n = List.length edges in
+              count_edges w n;
+              (* an ample step prunes every sibling interleaving;
+                 bound-pruned edges are not POR prunes *)
+              Telemetry.Cells.add c_por ~worker:w
+                (List.length elts - n - nbound);
+              claim_edges claim t edges
         end
       end
     end
@@ -611,22 +615,18 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
            re-expanded like deepening seeds, not re-counted *)
         List.map (replay_task ~monitor ~init cfg0) c.ck_pending
     | None, None -> (
-        let notes, cfg, dirtied = Exec.flush_labels_d cfg0 in
-        let fp =
-          List.fold_left
-            (fun fp p ->
-              Fingerprint.update fp ~before:cfg0 ~after:cfg
-                (Exec.dirty_of p ~mem:false))
-            (Fingerprint.of_config cfg0)
-            dirtied
+        let reject _ _ _ message =
+          record_violation { Explore.message; path = []; monitor = init }
         in
-        match monitor_steps monitor init notes with
-        | Error message ->
-            record_violation { Explore.message; path = []; monitor = init };
-            []
-        | Ok m ->
-            let t = { cfg; fp; m; rev_path = []; depth = 0 } in
-            ignore (Visited.add visited (key t));
+        match root_task ~monitor ~reject ~init cfg0 with
+        | None -> []
+        | Some t ->
+            let key =
+              match bound with
+              | None -> t.fp
+              | Some _ -> Fingerprint.mix t.fp (Fingerprint.budget_term t.cfg)
+            in
+            ignore (Visited.add visited key);
             Atomic.incr states;
             [ t ])
   in

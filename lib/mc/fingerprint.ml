@@ -28,6 +28,7 @@
 
 module Keyhash = Memsim.Keyhash
 module Config = Memsim.Config
+module Statekey = Memsim.Statekey
 
 type t = { a : int; b : int }
 
@@ -41,8 +42,7 @@ let[@inline] proc_term_b p (st : Config.pstate) =
   Keyhash.token_b Keyhash.seed_b p st.Config.lkb
 
 let of_config cfg =
-  let ma, mb = Memsim.Statekey.mem_lanes cfg in
-  let a = ref ma and b = ref mb in
+  let a = ref (Statekey.mem_lane_a cfg) and b = ref (Statekey.mem_lane_b cfg) in
   Array.iteri
     (fun p st ->
       a := !a lxor proc_term_a p st;
@@ -65,9 +65,46 @@ let update fp ~before ~after (d : Memsim.Exec.dirty) =
       in
       if not d.Memsim.Exec.mem then { a; b }
       else
-        let ba, bb = Memsim.Statekey.mem_lanes before
-        and aa, ab = Memsim.Statekey.mem_lanes after in
-        { a = a lxor ba lxor aa; b = b lxor bb lxor ab }
+        {
+          a = a lxor Statekey.mem_lane_a before lxor Statekey.mem_lane_a after;
+          b = b lxor Statekey.mem_lane_b before lxor Statekey.mem_lane_b after;
+        }
+
+(** [step fp cfg d]: the fingerprint of [Config.apply cfg d], given
+    [fp = of_config cfg], without building that configuration — the
+    probe key of an uninstalled child. [d]'s process term is replaced;
+    a commit swaps one memory token ([r]'s old one out, when [r] was
+    bound); a new store swaps the store lanes. *)
+let step fp (cfg : Config.t) (d : Config.delta) =
+  let p = d.Config.pid in
+  let old = Config.pstate cfg p and st = d.Config.next in
+  if old == st then fp
+  else
+    let a = fp.a lxor proc_term_a p old lxor proc_term_a p st
+    and b = fp.b lxor proc_term_b p old lxor proc_term_b p st in
+    let r = d.Config.commit_reg and v = d.Config.commit_value in
+    let a, b =
+      if r = Config.no_reg then (a, b)
+      else
+        ( a lxor Config.Mem.commit_xor_a cfg.Config.mem r v,
+          b lxor Config.Mem.commit_xor_b cfg.Config.mem r v )
+    in
+    match (cfg.Config.store, d.Config.new_store) with
+    | Some s, Some s' ->
+        {
+          a = a lxor Memsim.Modlog.lane_a s lxor Memsim.Modlog.lane_a s';
+          b = b lxor Memsim.Modlog.lane_b s lxor Memsim.Modlog.lane_b s';
+        }
+    | _ -> { a; b }
+
+(* One process's reorder-budget token: zero for a flag-free buffer. *)
+let budget_a p wb =
+  let bits = Memsim.Wbuf.overtaken_bits wb in
+  if bits = 0 then 0 else Keyhash.token_a Keyhash.seed_a p bits
+
+let budget_b p wb =
+  let bits = Memsim.Wbuf.overtaken_bits wb in
+  if bits = 0 then 0 else Keyhash.token_b Keyhash.seed_b p bits
 
 (* Reorder-budget component for bounded visited keys: one Zobrist
    token per process with a nonzero overtaken-flag bitset, keyed by
@@ -79,13 +116,22 @@ let budget_term cfg =
   let a = ref 0 and b = ref 0 in
   Array.iteri
     (fun p (st : Config.pstate) ->
-      let bits = Memsim.Wbuf.overtaken_bits st.Config.wb in
-      if bits <> 0 then begin
-        a := !a lxor Keyhash.token_a Keyhash.seed_a p bits;
-        b := !b lxor Keyhash.token_b Keyhash.seed_b p bits
-      end)
+      a := !a lxor budget_a p st.Config.wb;
+      b := !b lxor budget_b p st.Config.wb)
     cfg.Config.procs;
   { a = !a; b = !b }
+
+(** [budget_step t cfg d]: [budget_term (Config.apply cfg d)] from
+    [t = budget_term cfg] — only the stepped process's token changes. *)
+let budget_step t (cfg : Config.t) (d : Config.delta) =
+  let p = d.Config.pid in
+  let wb = (Config.pstate cfg p).Config.wb and wb' = d.Config.next.Config.wb in
+  if wb == wb' then t
+  else
+    {
+      a = t.a lxor budget_a p wb lxor budget_a p wb';
+      b = t.b lxor budget_b p wb lxor budget_b p wb';
+    }
 
 let mix fp t = { a = fp.a lxor t.a; b = fp.b lxor t.b }
 let equal x y = x.a = y.a && x.b = y.b

@@ -15,12 +15,22 @@ val of_config : Memsim.Config.t -> t
 val update :
   t -> before:Memsim.Config.t -> after:Memsim.Config.t -> Memsim.Exec.dirty -> t
 
+(** [step fp cfg d] is [of_config (Config.apply cfg d)] computed in
+    O(1) from [fp = of_config cfg] and the delta [d] (from
+    [Exec.step]), without building the child configuration. *)
+val step : t -> Memsim.Config.t -> Memsim.Config.delta -> t
+
 (** Keyed xor-term over the per-process overtaken-flag bitsets
     ([Wbuf.overtaken_bits]) — the reorder-budget component that bounded
     engines {!mix} into their visited keys, since a budget is path
     state. Flag-free configurations yield the zero term, the identity
     under {!mix}. *)
 val budget_term : Memsim.Config.t -> t
+
+(** [budget_step t cfg d] is [budget_term (Config.apply cfg d)] from
+    [t = budget_term cfg], in O(1): only the stepped process's token
+    changes. *)
+val budget_step : t -> Memsim.Config.t -> Memsim.Config.delta -> t
 
 (** Xor the lanes of the second argument into the first (commutative,
     self-inverse). *)

@@ -192,10 +192,11 @@ let ample_candidates ?bound cfg : Pid.t list =
   in
   go (n - 1) []
 
-(** After executing a candidate's step: is [p] left with no pending
+(** After stepping a candidate (its delta — only [p]'s new program is
+    read, so no configuration is built): is [p] left with no pending
     label? A pending label would surface as a [Note] at the successor's
     normalization — reordering it past other processes' steps could
     mask a monitor violation, so such steps are treated as visible and
     the reduction falls back to full expansion. *)
-let invisible_after cfg p =
-  not (Program.at_label (Config.pstate cfg p).Config.prog)
+let invisible_after (d : Config.delta) =
+  not (Program.at_label d.Config.next.Config.prog)

@@ -27,7 +27,7 @@ val independent : Config.t -> Exec.elt -> Exec.elt -> bool
     filter under the current charging rules). *)
 val ample_candidates : ?bound:int -> Config.t -> Pid.t list
 
-(** Post-execution visibility check: [p] must be left with no pending
-    label, else the step is visible and the reduction must not pick
-    it. *)
-val invisible_after : Config.t -> Pid.t -> bool
+(** Post-step visibility check on a candidate's delta: its process
+    must be left with no pending label, else the step is visible and
+    the reduction must not pick it. *)
+val invisible_after : Config.delta -> bool

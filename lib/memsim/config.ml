@@ -103,15 +103,27 @@ module Mem = struct
       hb = 0;
     }
 
+  (* The Zobrist token of one bound entry, per lane. *)
+  let[@inline] entry_a r v = Keyhash.token_a Keyhash.seed_a r v
+  let[@inline] entry_b r v = Keyhash.token_b Keyhash.seed_b r v
+
   let get t r = t.values.(r)
   let is_bound t r = Bytes.get t.bound r <> '\000'
   let cardinal t = t.card
 
+  (** What committing [v] to [r] xors into lane [a]: the old entry's
+      token out (when [r] is bound), the new one in — so a key can
+      follow a commit without building the new memory. *)
+  let commit_xor_a t r v =
+    (if is_bound t r then entry_a r t.values.(r) else 0) lxor entry_a r v
+
+  let commit_xor_b t r v =
+    (if is_bound t r then entry_b r t.values.(r) else 0) lxor entry_b r v
+
   let set t r v =
-    let values = Array.copy t.values in
-    let old = values.(r) in
-    values.(r) <- v;
     let was = is_bound t r in
+    let values = Array.copy t.values in
+    values.(r) <- v;
     let bound =
       if was then t.bound
       else begin
@@ -124,14 +136,8 @@ module Mem = struct
       values;
       bound;
       card = (if was then t.card else t.card + 1);
-      ha =
-        t.ha
-        lxor (if was then Keyhash.token_a Keyhash.seed_a r old else 0)
-        lxor Keyhash.token_a Keyhash.seed_a r v;
-      hb =
-        t.hb
-        lxor (if was then Keyhash.token_b Keyhash.seed_b r old else 0)
-        lxor Keyhash.token_b Keyhash.seed_b r v;
+      ha = t.ha lxor commit_xor_a t r v;
+      hb = t.hb lxor commit_xor_b t r v;
     }
 
   (** Bound entries in increasing register order — the exact memory
@@ -141,8 +147,10 @@ module Mem = struct
       if is_bound t r then f r t.values.(r)
     done
 
-  (** Incrementally maintained lanes. *)
-  let lanes t = (t.ha, t.hb)
+  (** Incrementally maintained lanes, one at a time. *)
+  let lane_a t = t.ha
+
+  let lane_b t = t.hb
 
   (** The same lanes recomputed from the bound entries — the reference
       the qcheck incrementality regression compares against. *)
@@ -150,8 +158,8 @@ module Mem = struct
     let ha = ref 0 and hb = ref 0 in
     iter_bound
       (fun r v ->
-        ha := !ha lxor Keyhash.token_a Keyhash.seed_a r v;
-        hb := !hb lxor Keyhash.token_b Keyhash.seed_b r v)
+        ha := !ha lxor entry_a r v;
+        hb := !hb lxor entry_b r v)
       t;
     (!ha, !hb)
 
@@ -213,7 +221,7 @@ type pstate = {
           (ops, last_read, final value, wb contents, obs); refreshed by
           {!set_pstate}, so any pstate stored in a configuration is
           consistent. Hand-built pstates may carry stale lanes until
-          they pass through {!set_pstate}/{!step}. Mutable purely so
+          they pass through {!set_pstate}/{!delta}. Mutable purely so
           {!refresh_lanes} can fill the lanes of a {e freshly built,
           not yet shared} record without copying it again — every
           writer owns the record it writes (and the fields are
@@ -264,6 +272,11 @@ type t = {
           view choice-index) elements, for [r < nregs]. Derived. *)
 }
 
+(* One buffer entry folded into a local lane: one top-level function
+   per lane, so the refresh below allocates no closure. *)
+let wb_lane_a h (e : Wbuf.entry) = Keyhash.mix_a (Keyhash.mix_a h e.reg) e.value
+let wb_lane_b h (e : Wbuf.entry) = Keyhash.mix_b (Keyhash.mix_b h e.reg) e.value
+
 (* Refresh the cached local-state lanes from the other fields. The obs
    component enters through its rolling lanes, so this is O(|wb| + 1)
    regardless of how long the observation log is. *)
@@ -285,15 +298,13 @@ let refresh_lanes st =
         (Keyhash.mix_a (Keyhash.mix_a a 1) v, Keyhash.mix_b (Keyhash.mix_b b 1) v)
     | _ -> (Keyhash.mix_a a 0, Keyhash.mix_b b 0)
   in
-  let a = ref (Keyhash.mix_a a (Wbuf.size st.wb))
-  and b = ref (Keyhash.mix_b b (Wbuf.size st.wb)) in
-  if not (Wbuf.is_empty st.wb) then
-    Wbuf.iter
-      (fun (e : Wbuf.entry) ->
-        a := Keyhash.mix_a (Keyhash.mix_a !a e.reg) e.value;
-        b := Keyhash.mix_b (Keyhash.mix_b !b e.reg) e.value)
-      st.wb;
-  let a = Keyhash.mix_a !a st.obs_len and b = Keyhash.mix_b !b st.obs_len in
+  let a = Keyhash.mix_a a (Wbuf.size st.wb)
+  and b = Keyhash.mix_b b (Wbuf.size st.wb) in
+  let a, b =
+    if Wbuf.is_empty st.wb then (a, b)
+    else (Wbuf.fold wb_lane_a a st.wb, Wbuf.fold wb_lane_b b st.wb)
+  in
+  let a = Keyhash.mix_a a st.obs_len and b = Keyhash.mix_b b st.obs_len in
   let la = Keyhash.mix_a a st.obs_ha and lb = Keyhash.mix_b b st.obs_hb in
   (* view component, guarded so write-buffer pstates (both views always
      empty) keep byte-identical lanes to the pre-view-backend key *)
@@ -419,7 +430,7 @@ let with_proc t p st =
 let set_pstate t p st =
   (* cold-path installer for hand-built pstates: recompute the cached
      post-label program, so callers may update [prog] alone (the hot
-     path, {!step}, trusts the executor to maintain [skipped]) *)
+     path, {!delta}, trusts the executor to maintain [skipped]) *)
   let st =
     if st.skipped == st.prog && not (Program.at_label st.prog) then st
     else { st with skipped = Program.post_labels st.prog }
@@ -430,32 +441,87 @@ let set_pstate t p st =
     label_mask = mask_with t.label_mask p st.prog;
   }
 
-(** [step t p ?commit ?store st ctr] applies one execution step of [p]
-    in a single pass: installs [st] (lanes refreshed, counters set to
-    the caller-prebuilt [ctr] — built once at the call site instead of
-    through a per-step bump closure), installs the updated
-    modification-log store when the step touched it ([store],
-    view-based models only), and — when [commit = Some (r, v)] — lands
-    [v] in committed memory and records [p] as [r]'s last committer.
-    One configuration-record build per step ([commit] adds one more);
-    the executor maintains [st.skipped], which this trusts. *)
-let step t p ?commit ?store st ctr =
-  (* [st] is the caller's freshly built successor state: fill its
-     counters and lanes in place rather than copying it again *)
+(** One schedule element's effect, before it is installed: the steps
+    it produced, the process [pid] it moved and that process's
+    successor state, the value it committed (if any) and the
+    successor modification-log store (view-based models, when the
+    element touched it). Every element touches at most one process, so
+    this is all a successor differs in: the model checker keys a child
+    from its delta and builds the configuration ({!apply}) only for
+    children the visited set has not seen. *)
+type delta = {
+  steps : Step.t list;
+  pid : Pid.t;
+  next : pstate;
+      (** [pid]'s successor state, lanes refreshed and counters set —
+          physically [pid]'s current state iff the element is a no-op,
+          a fresh record otherwise *)
+  commit_reg : Reg.t;  (** the register committed to, or {!no_reg} *)
+  commit_value : int;
+  new_store : Modlog.t option;  (** [None]: the store is unchanged *)
+}
+
+let no_reg = -1
+
+(** The no-op delta of [p]: nothing produced, nothing changed. *)
+let idle t p =
+  {
+    steps = [];
+    pid = p;
+    next = pstate t p;
+    commit_reg = no_reg;
+    commit_value = 0;
+    new_store = None;
+  }
+
+(** [delta ?store steps p st ctr]: the delta of a step of [p] to [st],
+    which the caller has just built (the executor maintains
+    [st.skipped]): its counters are set to the prebuilt [ctr] and its
+    lanes refreshed in place, since the record is not yet shared.
+    [commit_delta] additionally commits [v] to [r]. *)
+let commit_delta ?store steps p st ctr r v =
   st.ctr <- ctr;
-  let procs = with_proc t p (refresh_lanes st) in
-  let label_mask = mask_with t.label_mask p st.prog in
-  match (commit, store) with
-  | None, None -> { t with procs; label_mask }
-  | None, Some s -> { t with procs; label_mask; store = Some s }
-  | Some (r, v), _ ->
+  {
+    steps;
+    pid = p;
+    next = refresh_lanes st;
+    commit_reg = r;
+    commit_value = v;
+    new_store = store;
+  }
+
+let delta ?store steps p st ctr = commit_delta ?store steps p st ctr no_reg 0
+
+(** The delta with [pid]'s successor state replaced by [st] (fresh,
+    lanes refreshed here) — label settling on an uninstalled child. *)
+let with_next d st = { d with next = refresh_lanes st }
+
+(** Does installing the delta change the configuration? *)
+let changes t d = d.next != t.procs.(d.pid)
+
+(** [apply t d] installs a delta in a single pass: the successor state
+    (copy-on-write slot), the label mask, the commit (memory and last
+    committer) and the store. One configuration-record build; the
+    identity on a no-op. *)
+let apply t d =
+  if not (changes t d) then t
+  else
+    let p = d.pid and st = d.next in
+    let procs = with_proc t p st in
+    let label_mask = mask_with t.label_mask p st.prog in
+    if d.commit_reg = no_reg then
+      match d.new_store with
+      | None -> { t with procs; label_mask }
+      | Some _ as store -> { t with procs; label_mask; store }
+    else
+      let r = d.commit_reg in
       let last_committer = Array.copy t.last_committer in
       last_committer.(r) <- p;
-      let mem = Mem.set t.mem r v in
-      (match store with
+      let mem = Mem.set t.mem r d.commit_value in
+      match d.new_store with
       | None -> { t with procs; label_mask; mem; last_committer }
-      | Some s ->
-          { t with procs; label_mask; mem; last_committer; store = Some s })
+      | Some _ as store ->
+          { t with procs; label_mask; mem; last_committer; store }
 
 (** Committed value of register [r]. Under view-based models this is
     each location's log maximum (kept materialized by the executor). *)
@@ -516,6 +582,11 @@ let quiescent t =
     themselves, see {!Wbuf.overtaken_bits}). *)
 let reorders_in_flight t =
   Array.fold_left (fun acc st -> acc + Wbuf.overtaken st.wb) 0 t.procs
+
+(** [reorders_in_flight (apply t d)] from [n = reorders_in_flight t],
+    in O(1): only the stepped process's buffer changes. *)
+let reorders_after n t d =
+  n - Wbuf.overtaken t.procs.(d.pid).wb + Wbuf.overtaken d.next.wb
 
 let known_values st r = Known.values st.known r
 

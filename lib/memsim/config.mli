@@ -51,8 +51,17 @@ module Mem : sig
       part of the state key. *)
   val iter_bound : (Reg.t -> int -> unit) -> t -> unit
 
-  (** Incrementally maintained xor-composed lanes over bound entries. *)
-  val lanes : t -> int * int
+  (** Incrementally maintained xor-composed lanes over bound entries,
+      one at a time (tuple-free for the hot key path). *)
+  val lane_a : t -> int
+
+  val lane_b : t -> int
+
+  (** [lane_a (set t r v)] is [lane_a t lxor commit_xor_a t r v]: a
+      key can follow a commit without building the new memory. *)
+  val commit_xor_a : t -> Reg.t -> int -> int
+
+  val commit_xor_b : t -> Reg.t -> int -> int
 
   (** The same lanes recomputed from scratch (incrementality tests). *)
   val lanes_scratch : t -> int * int
@@ -96,7 +105,7 @@ type pstate = {
   mutable lka : int;
       (** cached lane over the full local key component; consistent for
           any pstate stored in a configuration (refreshed by
-          {!set_pstate}/{!step}). Mutable so the refresh can fill a
+          {!set_pstate}/{!delta}). Mutable so the refresh can fill a
           freshly built record in place; pstates stored in a
           configuration are never mutated. *)
   mutable lkb : int;
@@ -156,15 +165,55 @@ val pstate : t -> Pid.t -> pstate
 (** Install a process state, refreshing its cached lanes. *)
 val set_pstate : t -> Pid.t -> pstate -> t
 
-(** [step t p ?commit ?store st ctr]: one execution step of [p] in a
-    single pass — install [st] (lanes refreshed, counters set to the
-    caller-prebuilt [ctr]), install the updated modification-log store
-    when the step touched it (view-based models only), and optionally
-    commit [(r, v)] to memory, recording [p] as last committer. Trusts
-    the caller to have maintained [st.skipped]. *)
-val step :
-  t -> Pid.t -> ?commit:Reg.t * int -> ?store:Modlog.t -> pstate ->
-  Metrics.counters -> t
+(** One schedule element's effect, before it is installed: the steps
+    it produced, the one process it moved with that process's successor
+    state, the value it committed (if any) and the successor
+    modification-log store (view-based models, when the element touched
+    it). [Exec.step] builds one; {!apply} installs it. The model
+    checker keys a child from its delta and builds the configuration
+    only for children its visited set has not seen. *)
+type delta = {
+  steps : Step.t list;
+  pid : Pid.t;
+  next : pstate;
+      (** [pid]'s successor state, lanes refreshed and counters set —
+          physically [pid]'s current state iff the element is a no-op,
+          a fresh, unshared record otherwise *)
+  commit_reg : Reg.t;  (** the register committed to, or {!no_reg} *)
+  commit_value : int;
+  new_store : Modlog.t option;  (** [None]: the store is unchanged *)
+}
+
+(** [-1]: no commit. *)
+val no_reg : Reg.t
+
+(** The no-op delta of a process: nothing produced, nothing changed. *)
+val idle : t -> Pid.t -> delta
+
+(** [delta ?store steps p st ctr]: the delta of a step of [p] to the
+    caller's freshly built [st] (whose [skipped] the caller maintains):
+    sets its counters to [ctr] and refreshes its lanes in place.
+    [commit_delta ... r v] also commits [v] to [r]. *)
+val delta :
+  ?store:Modlog.t -> Step.t list -> Pid.t -> pstate -> Metrics.counters ->
+  delta
+
+val commit_delta :
+  ?store:Modlog.t -> Step.t list -> Pid.t -> pstate -> Metrics.counters ->
+  Reg.t -> int -> delta
+
+(** The delta with its successor state replaced by a fresh [st], whose
+    lanes this refreshes. *)
+val with_next : delta -> pstate -> delta
+
+(** Does installing the delta change the configuration (is the element
+    not a no-op)? *)
+val changes : t -> delta -> bool
+
+(** Install a delta in one configuration-record build: the successor
+    state, the label mask, the commit (memory and last committer) and
+    the store. The identity on a no-op. *)
+val apply : t -> delta -> t
 
 (** Recompute every cached lane of a pstate from scratch (obs rolling
     lanes from the raw list, then [lka]/[lkb]) — the reference for the
@@ -208,6 +257,11 @@ val quiescent : t -> bool
     SC-consistent. O(nprocs); accounting only, never a state-key
     component. *)
 val reorders_in_flight : t -> int
+
+(** [reorders_after n t d] is [reorders_in_flight (apply t d)], given
+    [n = reorders_in_flight t] — O(1), from the stepped process's old
+    and new buffer. *)
+val reorders_after : int -> t -> delta -> int
 
 val known_values : pstate -> Reg.t -> Int_set.t
 

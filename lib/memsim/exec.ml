@@ -28,11 +28,13 @@
     surface as costless {!Step.Note}s.
 
     Every element touches at most one process's state and possibly
-    committed memory; [exec_elt_d] reports which ({!dirty}), so the
-    model checker can re-fingerprint only the changed components.
-    Steps go through {!Config.step}: one process-map update and one
-    metrics update per step, instead of the former
-    [set_pstate]/[bump]/[set_pstate] rebuild chain. *)
+    committed memory, so {!step} describes its effect as a
+    {!Config.delta} — the steps, that process's successor state, the
+    commit and the store — without building a configuration;
+    [exec_elt_d] is [Config.apply] of it and reports what changed
+    ({!dirty}), so callers can re-fingerprint only the changed
+    components. The model checker keys children from their deltas
+    and builds configurations only for new states. *)
 
 type elt = Pid.t * Reg.t option
 
@@ -87,12 +89,11 @@ let commit_write cfg p (st : Config.pstate) r =
           rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
         }
       in
-      let cfg =
-        Config.step cfg p ~commit:(r, v)
-          { st with Config.wb = wb'; last_read = None }
-          ctr
-      in
-      (Step.Commit { p; reg = r; value = v; loc }, cfg)
+      Config.commit_delta
+        [ Step.Commit { p; reg = r; value = v; loc } ]
+        p
+        { st with Config.wb = wb'; last_read = None }
+        ctr r v
 
 (* The value a read of [r] by [p] would return right now: store
    forwarding from [p]'s own buffer under a buffered model, committed
@@ -151,7 +152,7 @@ let read_step cfg p (st : Config.pstate) ~wb r v from_wbuf ~prog =
         rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
       }
   in
-  (Step.Read { p; reg = r; value = v; from_wbuf; loc }, Config.step cfg p st ctr)
+  Config.delta [ Step.Read { p; reg = r; value = v; from_wbuf; loc } ] p st ctr
 
 (* Strong read-modify-write primitives (swap, faa): like cas, they act
    on committed memory behind an implicit barrier (the executor forces
@@ -190,8 +191,8 @@ let rmw_op cfg p (st : Config.pstate) r ~op ~arg ~read ~prog =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg = Config.step cfg p ~commit:(r, wrote) st ctr in
-  (Step.Rmw { p; reg = r; op; arg; read; wrote; loc }, cfg)
+  Config.commit_delta [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ] p
+    st ctr r wrote
 
 (* ------------------------------------------------------------------ *)
 (* View-based execution (RA/SRA). See DESIGN.md §6f.
@@ -352,8 +353,8 @@ let view_read_step cfg p (st : Config.pstate) r (m : Modlog.msg) ~prog =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg = Config.step cfg p st ctr in
-  (Step.Read { p; reg = r; value = v; from_wbuf = false; loc }, cfg)
+  Config.delta [ Step.Read { p; reg = r; value = v; from_wbuf = false; loc } ]
+    p st ctr
 
 (* Write [v] to [r] at log position [at], base = the release view.
    Appends are commits: they advance the location's log maximum, so
@@ -389,12 +390,9 @@ let view_write_step cfg p (st : Config.pstate) r v ~at ~prog =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg =
-    Config.step cfg p
-      ?commit:(if appended then Some (r, v) else None)
-      ~store st ctr
-  in
-  (Step.Write { p; reg = r; value = v }, cfg)
+  let steps = [ Step.Write { p; reg = r; value = v } ] in
+  if appended then Config.commit_delta ~store steps p st ctr r v
+  else Config.delta ~store steps p st ctr
 
 (* The SC fence: join the process's view into the global fence view
    and adopt the join; the release view catches up. Fences are thereby
@@ -423,8 +421,7 @@ let view_fence_step cfg p (st : Config.pstate) ~prog =
       steps = c.Metrics.steps + 1;
     }
   in
-  let cfg = Config.step cfg p ~store st ctr in
-  (Step.Fence { p }, cfg)
+  Config.delta ~store [ Step.Fence { p } ] p st ctr
 
 (* Strong RMW (swap/faa): an SC fence, a read of the location's log
    MAXIMUM, and an append, atomically; the new message's base is the
@@ -478,8 +475,9 @@ let view_rmw_step cfg p (st : Config.pstate) r ~op ~arg ~k =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg = Config.step cfg p ~commit:(r, wrote) ~store st ctr in
-  (Step.Rmw { p; reg = r; op; arg; read; wrote; loc }, cfg)
+  Config.commit_delta ~store
+    [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ]
+    p st ctr r wrote
 
 (* Cas: same barrier + read-the-maximum discipline as {!view_rmw_step};
    on success the update appends and publishes, on failure only the
@@ -535,12 +533,9 @@ let view_cas_step cfg p (st : Config.pstate) r ~expect ~update ~k =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg =
-    Config.step cfg p
-      ?commit:(if success then Some (r, update) else None)
-      ~store st ctr
-  in
-  (Step.Cas { p; reg = r; expect; update; read; success; loc }, cfg)
+  let steps = [ Step.Cas { p; reg = r; expect; update; read; success; loc } ] in
+  if success then Config.commit_delta ~store steps p st ctr r update
+  else Config.delta ~store steps p st ctr
 
 (* One atomic spinv round: the per-register reads of [tuple] in
    program order, each acquiring its message's base. Executing the
@@ -598,18 +593,24 @@ let view_round_step cfg p (st : Config.pstate) regs pred k tuple =
       rmr_cc = c.Metrics.rmr_cc + ncc;
     }
   in
-  (List.rev steps, Config.step cfg p st ctr)
+  Config.delta (List.rev steps) p st ctr
+
+(* The no-op delta of [p] at [st]: nothing produced. When [st] is a
+   label-consumed copy of [p]'s installed state, installing it still
+   consumes the labels (the caller prepends their notes). *)
+let noop cfg p (st : Config.pstate) =
+  if st == Config.pstate cfg p then Config.idle cfg p
+  else Config.delta [] p st st.Config.ctr
 
 (* One view-backend step of [p], taking alternative [idx] of its
-   current operation (labels already skipped). [None] when there is
+   current operation (labels already skipped). A no-op when there is
    nothing to do — final, or blocked — for [idx = 0]; an out-of-range
    explicit alternative is a schedule bug and raises. *)
-let view_op_step cfg p (st : Config.pstate) idx :
-    (Step.t list * Config.t * bool) option =
+let view_op_step cfg p (st : Config.pstate) idx : Config.delta =
   let choices = view_choices cfg st in
   match List.nth_opt choices idx with
   | None ->
-      if idx = 0 then None
+      if idx = 0 then noop cfg p st
       else
         Fmt.invalid_arg "Exec: view choice %d out of range (%d available)" idx
           (List.length choices)
@@ -634,41 +635,27 @@ let view_op_step cfg p (st : Config.pstate) idx :
               steps = c.Metrics.steps + 1;
             }
           in
-          Some
-            ([ Step.Return { p; value = v } ], Config.step cfg p st ctr, false)
+          Config.delta [ Step.Return { p; value = v } ] p st ctr
       | Read (r, k), VRead (m, _) ->
-          let step, cfg =
-            view_read_step cfg p st r m ~prog:(k m.Modlog.value)
-          in
-          Some ([ step ], cfg, false)
+          view_read_step cfg p st r m ~prog:(k m.Modlog.value)
       | Spin (r, pred, k), VSpinRead (m, _) ->
           let prog =
             if pred m.Modlog.value then k m.Modlog.value else st.Config.prog
           in
-          let step, cfg = view_read_step cfg p st r m ~prog in
-          Some ([ step ], cfg, false)
+          view_read_step cfg p st r m ~prog
       | Spinv (regs, _, pred, k), VRound tuple ->
-          let steps, cfg = view_round_step cfg p st regs pred k tuple in
-          Some (steps, cfg, false)
+          view_round_step cfg p st regs pred k tuple
       | Write (r, v, k), VWriteAt at ->
-          let step, cfg = view_write_step cfg p st r v ~at ~prog:(k ()) in
-          Some ([ step ], cfg, true)
-      | Fence k, VDet ->
-          let step, cfg = view_fence_step cfg p st ~prog:(k ()) in
-          Some ([ step ], cfg, true)
+          view_write_step cfg p st r v ~at ~prog:(k ())
+      | Fence k, VDet -> view_fence_step cfg p st ~prog:(k ())
       | Cas (r, expect, update, k), VDet ->
-          let step, cfg = view_cas_step cfg p st r ~expect ~update ~k in
-          Some ([ step ], cfg, true)
-      | Swap (r, arg, k), VDet ->
-          let step, cfg = view_rmw_step cfg p st r ~op:`Swap ~arg ~k in
-          Some ([ step ], cfg, true)
-      | Faa (r, arg, k), VDet ->
-          let step, cfg = view_rmw_step cfg p st r ~op:`Faa ~arg ~k in
-          Some ([ step ], cfg, true)
+          view_cas_step cfg p st r ~expect ~update ~k
+      | Swap (r, arg, k), VDet -> view_rmw_step cfg p st r ~op:`Swap ~arg ~k
+      | Faa (r, arg, k), VDet -> view_rmw_step cfg p st r ~op:`Faa ~arg ~k
       | _ -> assert false)
 
 (* The return step: the process becomes [Done v]. *)
-let ret_op cfg p (st : Config.pstate) ~wb v =
+let ret_op p (st : Config.pstate) ~wb v =
   let d = Program.Done v in
   let st =
     {
@@ -688,7 +675,7 @@ let ret_op cfg p (st : Config.pstate) ~wb v =
       steps = c.Metrics.steps + 1;
     }
   in
-  Some ([ Step.Return { p; value = v } ], Config.step cfg p st ctr, false)
+  Config.delta [ Step.Return { p; value = v } ] p st ctr
 
 (* The write step: buffered models enqueue into [wb] (the caller's
    overtake-marked view of [st]'s buffer); SC commits immediately —
@@ -716,8 +703,7 @@ let write_op cfg p (st : Config.pstate) ~wb r v ~prog =
         steps = c.Metrics.steps + 1;
       }
     in
-    Some
-      ([ Step.Write { p; reg = r; value = v } ], Config.step cfg p st ctr, false)
+    Config.delta [ Step.Write { p; reg = r; value = v } ] p st ctr
   end
   else begin
     (* SC: the write is immediately committed. Commit locality is
@@ -746,17 +732,16 @@ let write_op cfg p (st : Config.pstate) ~wb r v ~prog =
         rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
       }
     in
-    Some
-      ( [
-          Step.Write { p; reg = r; value = v };
-          Step.Commit { p; reg = r; value = v; loc };
-        ],
-        Config.step cfg p ~commit:(r, v) st ctr,
-        true )
+    Config.commit_delta
+      [
+        Step.Write { p; reg = r; value = v };
+        Step.Commit { p; reg = r; value = v; loc };
+      ]
+      p st ctr r v
   end
 
 (* The fence step: the dispatcher already forced the buffer empty. *)
-let fence_op cfg p (st : Config.pstate) ~prog =
+let fence_op p (st : Config.pstate) ~prog =
   assert (Wbuf.is_empty st.Config.wb);
   let st =
     {
@@ -775,7 +760,7 @@ let fence_op cfg p (st : Config.pstate) ~prog =
       steps = c.Metrics.steps + 1;
     }
   in
-  Some ([ Step.Fence { p } ], Config.step cfg p st ctr, false)
+  Config.delta [ Step.Fence { p } ] p st ctr
 
 (* The cas step: [read]/[success] precomputed by the caller (it needed
    them to build [prog]), barrier semantics as documented on the
@@ -816,21 +801,14 @@ let cas_op cfg p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
       rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
     }
   in
-  let cfg =
-    Config.step cfg p
-      ?commit:(if success then Some (r, update) else None)
-      st ctr
-  in
-  Some
-    ( [ Step.Cas { p; reg = r; expect; update; read; success; loc } ],
-      cfg,
-      success )
+  let steps = [ Step.Cas { p; reg = r; expect; update; read; success; loc } ] in
+  if success then Config.commit_delta steps p st ctr r update
+  else Config.delta steps p st ctr
 
 (* One operation step of [p] (labels already skipped; [st] is [p]'s
-   current state, [prog = st.prog]). Returns [None] when [p] has no
+   current state, [prog = st.prog]). A no-op ({!noop}) when [p] has no
    step to take: it is final, or blocked on a spin whose register
-   still holds the value it last observed. Otherwise the steps
-   produced, the successor, and whether committed memory changed.
+   still holds the value it last observed.
 
    The [Flat] case is the compiled fast path: opcodes dispatch
    straight into the helpers above, and the successor program is the
@@ -839,10 +817,9 @@ let cas_op cfg p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
    interpreter; {!Program.reify} bridges any flat instruction the fast
    path declines (defensive only — labels are pre-consumed and jumps
    pre-resolved, so it should be unreachable). *)
-let rec op_step cfg p (st : Config.pstate) ~wb prog :
-    (Step.t list * Config.t * bool) option =
+let rec op_step cfg p (st : Config.pstate) ~wb prog : Config.delta =
   match (prog : Program.t) with
-  | Program.Done _ -> None
+  | Program.Done _ -> noop cfg p st
   | Label _ -> assert false
   | Flat fr ->
       let tag = Instr.opcode fr in
@@ -854,11 +831,8 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
         in
         let fw = e != Wbuf.no_entry in
         let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-        let step, cfg =
-          read_step cfg p st ~wb r v fw
-            ~prog:(Program.Flat (Instr.advance_obs fr v))
-        in
-        Some ([ step ], cfg, false)
+        read_step cfg p st ~wb r v fw
+          ~prog:(Program.Flat (Instr.advance_obs fr v))
       end
       else if tag = Instr.t_write then
         write_op cfg p st ~wb (Instr.arg_a fr) (Instr.arg_b fr)
@@ -872,22 +846,17 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
         let fw = e != Wbuf.no_entry in
         let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
         if Program.flat_spin_pred v then
-          let step, cfg =
-            read_step cfg p st ~wb r v fw
-              ~prog:(Program.Flat (Instr.advance_obs fr v))
-          in
-          Some ([ step ], cfg, false)
+          read_step cfg p st ~wb r v fw
+            ~prog:(Program.Flat (Instr.advance_obs fr v))
         else begin
           match st.Config.last_read with
-          | Some (r', v') when Reg.equal r r' && v = v' -> None
-          | Some _ | None ->
-              let step, cfg = read_step cfg p st ~wb r v fw ~prog in
-              Some ([ step ], cfg, false)
+          | Some (r', v') when Reg.equal r r' && v = v' -> noop cfg p st
+          | Some _ | None -> read_step cfg p st ~wb r v fw ~prog
         end
       end
-      else if tag = Instr.t_ret then ret_op cfg p st ~wb (Instr.ret_value fr)
+      else if tag = Instr.t_ret then ret_op p st ~wb (Instr.ret_value fr)
       else if tag = Instr.t_fence then
-        fence_op cfg p st ~prog:(Program.Flat (Instr.advance fr))
+        fence_op p st ~prog:(Program.Flat (Instr.advance fr))
       else if tag = Instr.t_cas then begin
         let r = Instr.arg_a fr in
         let expect = Instr.arg_b fr and update = Instr.arg_c fr in
@@ -899,23 +868,17 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
       else if tag = Instr.t_swap then begin
         let r = Instr.arg_a fr in
         let read = Config.read_mem cfg r in
-        let step, cfg =
-          rmw_op cfg p st r ~op:`Swap ~arg:(Instr.arg_b fr) ~read
-            ~prog:(Program.Flat (Instr.advance_obs fr read))
-        in
-        Some ([ step ], cfg, true)
+        rmw_op cfg p st r ~op:`Swap ~arg:(Instr.arg_b fr) ~read
+          ~prog:(Program.Flat (Instr.advance_obs fr read))
       end
       else if tag = Instr.t_faa then begin
         let r = Instr.arg_a fr in
         let read = Config.read_mem cfg r in
-        let step, cfg =
-          rmw_op cfg p st r ~op:`Faa ~arg:(Instr.arg_b fr) ~read
-            ~prog:(Program.Flat (Instr.advance_obs fr read))
-        in
-        Some ([ step ], cfg, true)
+        rmw_op cfg p st r ~op:`Faa ~arg:(Instr.arg_b fr) ~read
+          ~prog:(Program.Flat (Instr.advance_obs fr read))
       end
       else op_step cfg p st ~wb (Program.reify prog)
-  | Ret v -> ret_op cfg p st ~wb v
+  | Ret v -> ret_op p st ~wb v
   | Read (r, k) ->
       let e =
         if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
@@ -923,8 +886,7 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
       in
       let fw = e != Wbuf.no_entry in
       let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-      let step, cfg = read_step cfg p st ~wb r v fw ~prog:(k v) in
-      Some ([ step ], cfg, false)
+      read_step cfg p st ~wb r v fw ~prog:(k v)
   | Spin (r, pred, k) ->
       let e =
         if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
@@ -932,24 +894,23 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
       in
       let fw = e != Wbuf.no_entry in
       let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-      if pred v then
-        let step, cfg = read_step cfg p st ~wb r v fw ~prog:(k v) in
-        Some ([ step ], cfg, false)
+      if pred v then read_step cfg p st ~wb r v fw ~prog:(k v)
       else begin
         match st.Config.last_read with
         | Some (r', v') when Reg.equal r r' && v = v' ->
             (* blocked: the register still holds the value this process
                already observed; a re-read is a cache hit and a no-op *)
-            None
+            noop cfg p st
         | Some _ | None ->
             (* observe the (new) unsatisfying value: a real read step
                that leaves the process poised at the same spin *)
-            let step, cfg = read_step cfg p st ~wb r v fw ~prog in
-            Some ([ step ], cfg, false)
+            read_step cfg p st ~wb r v fw ~prog
       end
   | Spinv (regs, prev, pred, k) ->
       let visible = List.map (fun r -> visible_only cfg st r) regs in
-      if prev = Some visible then None (* blocked: a round would replay *)
+      if prev = Some visible then
+        (* blocked: a round would replay *)
+        noop cfg p st
       else begin
         (* unroll one round into ordinary fine-grained reads; execute
            the first of them now *)
@@ -967,44 +928,36 @@ let rec op_step cfg p (st : Config.pstate) ~wb prog :
             in
             let fw = e != Wbuf.no_entry in
             let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-            let step, cfg = read_step cfg p st ~wb r v fw ~prog:(k' v) in
-            Some ([ step ], cfg, false)
+            read_step cfg p st ~wb r v fw ~prog:(k' v)
         | _ -> invalid_arg "Exec: Spinv over no registers"
       end
   | Write (r, v, k) -> write_op cfg p st ~wb r v ~prog:(k ())
-  | Fence k -> fence_op cfg p st ~prog:(k ())
+  | Fence k -> fence_op p st ~prog:(k ())
   | Cas (r, expect, update, k) ->
       let read = Config.read_mem cfg r in
       let success = read = expect in
       cas_op cfg p st r ~expect ~update ~read ~success ~prog:(k success)
   | Swap (r, arg, k) ->
       let read = Config.read_mem cfg r in
-      let step, cfg = rmw_op cfg p st r ~op:`Swap ~arg ~read ~prog:(k read) in
-      Some ([ step ], cfg, true)
+      rmw_op cfg p st r ~op:`Swap ~arg ~read ~prog:(k read)
   | Faa (r, arg, k) ->
       let read = Config.read_mem cfg r in
-      let step, cfg = rmw_op cfg p st r ~op:`Faa ~arg ~read ~prog:(k read) in
-      Some ([ step ], cfg, true)
+      rmw_op cfg p st r ~op:`Faa ~arg ~read ~prog:(k read)
 
-(* Skip labels of [p], collecting costless note steps. Fast-pathed: no
-   closure or ref is allocated unless [p] is actually poised at a
-   label — [prog == skipped] is an exact pending-label test, since
-   [Program.post_labels] returns its argument physically when there is
-   nothing to skip. The walk below is for note emission only; the
-   installed program is the cached [skipped], so continuations past a
-   label are never re-forced here. *)
-let consume_labels cfg p =
-  let st = Config.pstate cfg p in
-  if st.Config.prog == st.Config.skipped then ([], st, cfg)
-  else begin
-    let notes = ref [] in
-    ignore
-      (Program.skip_labels
-         ~emit:(fun s -> notes := Step.Note { p; text = s } :: !notes)
-         st.Config.prog);
-    let st = { st with Config.prog = st.Config.skipped } in
-    (List.rev !notes, st, Config.set_pstate cfg p st)
-  end
+(* [p]'s pending labels as costless note steps, and [st] with them
+   consumed — a fresh record whose lanes the caller refreshes. Only
+   called when [p] is poised at a label: [prog == skipped] is an exact
+   pending-label test, since [Program.post_labels] returns its argument
+   physically when there is nothing to skip. The walk is for note
+   emission only; the installed program is the cached [skipped], so
+   continuations past a label are never re-forced here. *)
+let take_labels p (st : Config.pstate) =
+  let notes = ref [] in
+  ignore
+    (Program.skip_labels
+       ~emit:(fun s -> notes := Step.Note { p; text = s } :: !notes)
+       st.Config.prog);
+  (List.rev !notes, { st with Config.prog = st.Config.skipped })
 
 (** Consume pending labels of every process, returning the notes and
     the processes whose state changed. The model checker normalizes
@@ -1020,15 +973,15 @@ let flush_labels_d cfg : Step.t list * Config.t * Pid.t list =
     let n = Config.nprocs cfg in
     let rec go p acc dirtied cfg =
       if p >= n then (List.rev acc, cfg, List.rev dirtied)
-      else if
-        p < 62 && cfg.Config.label_mask land (1 lsl p) = 0
-      then go (p + 1) acc dirtied cfg
       else
-        let notes, _, cfg = consume_labels cfg p in
-        go (p + 1)
-          (List.rev_append notes acc)
-          (if notes <> [] then p :: dirtied else dirtied)
-          cfg
+        let st = Config.pstate cfg p in
+        if st.Config.prog == st.Config.skipped then go (p + 1) acc dirtied cfg
+        else
+          let notes, st = take_labels p st in
+          go (p + 1)
+            (List.rev_append notes acc)
+            (if notes <> [] then p :: dirtied else dirtied)
+            (Config.set_pstate cfg p st)
     in
     go 0 [] [] cfg
 
@@ -1046,77 +999,95 @@ let forced_commit_pending cfg p =
   | Program.Op_fence | Program.Op_cas -> true
   | Op_read | Op_write | Op_spin | Op_return _ | Op_done -> false
 
-(** Execute one schedule element, reporting the steps produced, the
-    successor configuration and the dirtied key components.
-
-    Hot-loop audit note: the [notes @ steps] / [notes @ [step]]
-    appends below are {e not} the quadratic accumulation pattern fixed
-    in {!Scheduler.sequential} — [notes] is the pending-label list of
-    one process at one program point, bounded by the longest run of
-    consecutive [label]s in the program text (a small constant; labels
-    never accumulate across elements because every path through this
-    function consumes them). The per-element cost is O(|notes| +
-    |steps|), both O(1)-ish; callers that accumulate whole traces
-    ({!exec}, the schedulers, the explorers) all use rev-append with a
-    single final reverse. *)
-(* No-op element result: notes only (static helpers, so the hot path
-   allocates no closures). *)
-let elt_noop notes cfg p =
-  (notes, cfg, match notes with [] -> dirty_none | _ :: _ -> dirty_of p ~mem:false)
-
-(* Commit element result: commits are system steps — they remain
-   possible even after the process reached its final state with a
-   non-empty buffer (only programs that fence before returning are
-   guaranteed an empty buffer at return, and our ablations deliberately
-   break that). *)
-let elt_commit notes cfg p st r =
-  let step, cfg = commit_write cfg p st r in
-  (notes @ [ step ], cfg, dirty_of p ~mem:true)
-
-let exec_elt_d cfg ((p, r) : elt) : Step.t list * Config.t * dirty =
-  let notes, st, cfg = consume_labels cfg p in
-  if cfg.Config.view_based then begin
+(* The element [(p, r)] at [p]'s label-free state [st]. Commits are
+   system steps — they remain possible even after the process reached
+   its final state with a non-empty buffer (only programs that fence
+   before returning are guaranteed an empty buffer at return, and our
+   ablations deliberately break that). *)
+let dispatch cfg p (st : Config.pstate) r : Config.delta =
+  if cfg.Config.view_based then
     (* view backend: the register slot is a choice index (see the view
        section header); there are no commits or buffers to overtake *)
-    let idx = match r with None -> 0 | Some k -> k in
-    match view_op_step cfg p st idx with
-    | None -> elt_noop notes cfg p
-    | Some (steps, cfg, mem_dirty) ->
-        (notes @ steps, cfg, dirty_of p ~mem:mem_dirty)
-  end
+    view_op_step cfg p st (match r with None -> 0 | Some k -> k)
   else
-  let prog = st.Config.prog in
-  let wb = st.Config.wb in
-  match r with
-  | Some r when Memory_model.may_commit cfg.Config.model wb r ->
-      elt_commit notes cfg p st r
-  | Some _ | None -> (
-      if Program.is_done prog then elt_noop notes cfg p
-      else
-        let forced =
-          match Program.next_kind prog with
-          | Program.Op_fence | Program.Op_cas ->
-              if Wbuf.is_empty wb then None
-              else Memory_model.forced_commit_reg cfg.Config.model wb
-          | Op_read | Op_write | Op_spin | Op_return _ | Op_done -> None
-        in
-        match forced with
-        | Some r -> elt_commit notes cfg p st r
-        | None -> (
-            (* The op is about to execute while [p]'s buffered writes
-               are still uncommitted: mark them overtaken (the
-               write→op half of the reorder-budget accounting — under
-               SC those writes would already have committed). The
-               marked buffer is threaded into [op_step]'s fused record
-               builds — no intermediate pstate copy — and a blocked op
-               returns [None] below, discarding the marking, so no-ops
-               never charge. No-op when the buffer is empty or already
-               fully marked. *)
-            let owb = if Wbuf.is_empty wb then wb else Wbuf.overtake_all wb in
-            match op_step cfg p st ~wb:owb prog with
-            | None -> elt_noop notes cfg p
-            | Some (steps, cfg, mem_dirty) ->
-                (notes @ steps, cfg, dirty_of p ~mem:mem_dirty)))
+    let prog = st.Config.prog in
+    let wb = st.Config.wb in
+    match r with
+    | Some r when Memory_model.may_commit cfg.Config.model wb r ->
+        commit_write cfg p st r
+    | Some _ | None -> (
+        if Program.is_done prog then noop cfg p st
+        else
+          let forced =
+            match Program.next_kind prog with
+            | Program.Op_fence | Program.Op_cas ->
+                if Wbuf.is_empty wb then None
+                else Memory_model.forced_commit_reg cfg.Config.model wb
+            | Op_read | Op_write | Op_spin | Op_return _ | Op_done -> None
+          in
+          match forced with
+          | Some r -> commit_write cfg p st r
+          | None ->
+              (* The op is about to execute while [p]'s buffered writes
+                 are still uncommitted: mark them overtaken (the
+                 write→op half of the reorder-budget accounting — under
+                 SC those writes would already have committed). The
+                 marked buffer is threaded into [op_step]'s fused record
+                 builds — no intermediate pstate copy — and a blocked op
+                 is a no-op, discarding the marking, so no-ops never
+                 charge. No-op when the buffer is empty or already fully
+                 marked. *)
+              let owb = if Wbuf.is_empty wb then wb else Wbuf.overtake_all wb in
+              op_step cfg p st ~wb:owb prog)
+
+(** Step one schedule element into a delta, building no configuration:
+    [p]'s pending labels are consumed first (their notes lead the
+    steps), then the element is interpreted per the module header.
+
+    Hot-loop audit note: the [notes @ steps] append below is {e not}
+    the quadratic accumulation pattern fixed in {!Scheduler.sequential}
+    — [notes] is the pending-label list of one process at one program
+    point, bounded by the longest run of consecutive [label]s in the
+    program text, and the model checker's normalized states never have
+    any. Callers that accumulate whole traces ({!exec}, the schedulers,
+    the explorers) all use rev-append with a single final reverse. *)
+let step cfg ((p, r) : elt) : Config.delta =
+  let st = Config.pstate cfg p in
+  if st.Config.prog == st.Config.skipped then dispatch cfg p st r
+  else
+    let notes, st = take_labels p st in
+    let d = dispatch cfg p st r in
+    { d with Config.steps = notes @ d.Config.steps }
+
+(** Does the delta leave its process poised at a label? *)
+let unsettled (d : Config.delta) =
+  d.Config.next.Config.prog != d.Config.next.Config.skipped
+
+(** Consume the labels the delta's process is poised at: their notes,
+    and the delta with them consumed — what {!flush_labels_d} does to
+    the installed child, when the parent had no pending labels (then
+    only the stepped process can have any). *)
+let settle (d : Config.delta) : Step.t list * Config.delta =
+  if not (unsettled d) then ([], d)
+  else
+    let notes, st = take_labels d.Config.pid d.Config.next in
+    (notes, Config.with_next d st)
+
+(* What installing the delta dirtied. *)
+let dirty_of_delta cfg (d : Config.delta) =
+  if not (Config.changes cfg d) then dirty_none
+  else
+    dirty_of d.Config.pid
+      ~mem:
+        (d.Config.commit_reg <> Config.no_reg
+        || Option.is_some d.Config.new_store)
+
+(** Execute one schedule element, reporting the steps produced, the
+    successor configuration and the dirtied key components:
+    [Config.apply] of {!step}. *)
+let exec_elt_d cfg (e : elt) : Step.t list * Config.t * dirty =
+  let d = step cfg e in
+  (d.Config.steps, Config.apply cfg d, dirty_of_delta cfg d)
 
 (** Execute one schedule element. Returns the steps it produced (empty
     when the element is a no-op, e.g. names a finished process) and the

@@ -34,8 +34,23 @@ val exec_elt : Config.t -> elt -> Step.t list * Config.t
 
 (** Like {!exec_elt}, additionally reporting which key components the
     element dirtied, so callers can maintain state fingerprints
-    incrementally. *)
+    incrementally. It is [Config.apply] of {!step}. *)
 val exec_elt_d : Config.t -> elt -> Step.t list * Config.t * dirty
+
+(** Step one element into a {!Config.delta} without building the
+    successor configuration: the steps (pending-label notes of [p]
+    first), [p]'s successor state, the commit and the store. The model
+    checker keys children from deltas and installs only new ones. *)
+val step : Config.t -> elt -> Config.delta
+
+(** Is the delta's process left poised at a label? *)
+val unsettled : Config.delta -> bool
+
+(** Consume the labels the delta's process is left poised at: their
+    notes, and the settled delta. Applied to a child of a configuration
+    with no pending labels, [Config.apply] of the settled delta is what
+    {!flush_labels_d} makes of the applied child. *)
+val settle : Config.delta -> Step.t list * Config.delta
 
 (** Run a whole schedule, accumulating the trace. *)
 val exec : Config.t -> elt list -> Step.t list * Config.t

@@ -100,6 +100,8 @@ let lanes_scratch t =
   (!ha, !hb)
 
 let lanes t = (t.ha, t.hb)
+let lane_a t = t.ha
+let lane_b t = t.hb
 
 let make ~layout =
   let nregs = Layout.nregs layout in

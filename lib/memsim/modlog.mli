@@ -65,6 +65,11 @@ val equal : t -> t -> bool
     them from scratch (the incrementality reference). *)
 val lanes : t -> int * int
 
+(** The two lanes one at a time, tuple-free for the hot key path. *)
+val lane_a : t -> int
+
+val lane_b : t -> int
+
 val lanes_scratch : t -> int * int
 
 (** Feed the exact store components as a flat integer stream (for

@@ -81,22 +81,22 @@ let proc_lanes (st : Config.pstate) = (st.Config.lka, st.Config.lkb)
 let proc_lanes_scratch (st : Config.pstate) =
   proc_lanes (Config.scratch_lanes st)
 
-(* Compose the committed-memory lanes with the modification-log store
-   lanes (view-based models; the store is part of shared memory as far
-   as dedup is concerned). Xor keeps the composition updatable: the
-   fingerprint update path recomputes mem lanes before/after any
-   mem-dirty element, which covers store changes too. *)
-let with_store_lanes (cfg : Config.t) (ha, hb) =
-  match cfg.Config.store with
-  | None -> (ha, hb)
-  | Some s ->
-      let sa, sb = Modlog.lanes s in
-      (ha lxor sa, hb lxor sb)
+(** The incrementally maintained shared-memory lanes, one at a time:
+    committed memory, xor the modification-log store under view-based
+    models (the store is part of shared memory as far as dedup is
+    concerned). Xor keeps the composition updatable: fingerprint
+    updates swap these lanes before/after any mem-dirty element, which
+    covers store changes too. *)
+let mem_lane_a (cfg : Config.t) =
+  Config.Mem.lane_a cfg.Config.mem
+  lxor match cfg.Config.store with None -> 0 | Some s -> Modlog.lane_a s
 
-(** The incrementally maintained shared-memory lanes: committed memory,
-    xor the modification-log store under view-based models. *)
-let mem_lanes (cfg : Config.t) =
-  with_store_lanes cfg (Config.Mem.lanes cfg.Config.mem)
+let mem_lane_b (cfg : Config.t) =
+  Config.Mem.lane_b cfg.Config.mem
+  lxor match cfg.Config.store with None -> 0 | Some s -> Modlog.lane_b s
+
+(** Both shared-memory lanes. *)
+let mem_lanes cfg = (mem_lane_a cfg, mem_lane_b cfg)
 
 (** The same lanes recomputed from scratch (incrementality tests). *)
 let mem_lanes_scratch (cfg : Config.t) =

@@ -23,8 +23,12 @@ val proc_lanes : Config.pstate -> int * int
 
 val proc_lanes_scratch : Config.pstate -> int * int
 
-(** Incrementally maintained committed-memory lanes, and their
-    from-scratch recomputation. *)
+(** Incrementally maintained shared-memory lanes (committed memory,
+    xor the modification-log store under view-based models), one at a
+    time and both, and their from-scratch recomputation. *)
+val mem_lane_a : Config.t -> int
+
+val mem_lane_b : Config.t -> int
 val mem_lanes : Config.t -> int * int
 
 val mem_lanes_scratch : Config.t -> int * int

@@ -218,13 +218,16 @@ let commit t r =
               { front; rback = []; size = t.size - 1; ot = new_ot e } )
       | None -> None)
 
-(** Iterate over entries, oldest first, without materializing the
-    logical list — the statekey/lane hot path. *)
-let iter f t =
-  List.iter f t.front;
-  (* [fold_right] applies to the deepest (oldest) element of the
-     newest-first back list first *)
-  List.fold_right (fun e () -> f e) t.rback ()
+(* The back list's entries oldest first: the deepest element is
+   applied first. Top-level, so a fold allocates no closure. *)
+let rec fold_back f acc = function
+  | [] -> acc
+  | e :: rest -> f (fold_back f acc rest) e
+
+(** Fold over entries, oldest first. With a closed [f] and an
+    immediate accumulator it allocates nothing — the lane refresh's
+    per-step path. *)
+let fold f acc t = fold_back f (List.fold_left f acc t.front) t.rback
 
 (** Distinct registers with a pending write, as a set (cold paths: the
     §5 encoder's footprint computation). *)

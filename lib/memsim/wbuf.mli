@@ -70,8 +70,10 @@ val take : t -> Reg.t -> (int * t) option
     budget-free. *)
 val commit : t -> Reg.t -> (int * t) option
 
-(** Iterate over entries, oldest first, without materializing a list. *)
-val iter : (entry -> unit) -> t -> unit
+(** Fold over entries, oldest first, without materializing a list and,
+    for a closed function over an immediate accumulator, without
+    allocating. *)
+val fold : ('a -> entry -> 'a) -> 'a -> t -> 'a
 
 (** Distinct registers with a pending write. *)
 val regs : t -> Reg.Set.t

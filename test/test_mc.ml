@@ -377,6 +377,87 @@ let fingerprint_matches_key_equality () =
     (Mc.Fingerprint.equal (Mc.Fingerprint.of_config a)
        (Mc.Fingerprint.of_config a'))
 
+(* ------------------------------------------------------------------ *)
+(* The claim set is the reachable set                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every normalized state reachable from [cfg0], built eagerly: each
+   successor element executed on the full configuration, labels
+   flushed, duplicates dropped on the exact key. *)
+let reachable_normalized cfg0 =
+  let seen = Hashtbl.create 4096 and stack = Stack.create () in
+  Stack.push (snd (Exec.flush_labels cfg0)) stack;
+  let states = ref [] in
+  while not (Stack.is_empty stack) do
+    let cfg = Stack.pop stack in
+    let k = Statekey.to_string cfg in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      states := cfg :: !states;
+      List.iter
+        (fun e ->
+          let _, child = Exec.exec_elt cfg e in
+          Stack.push (snd (Exec.flush_labels child)) stack)
+        (Explore.successor_elts cfg)
+    end
+  done;
+  !states
+
+(* The engine keys children from deltas and never builds duplicates.
+   Equal state counts would not catch a delta key that is wrong but
+   still injective; the claimed keys themselves must be exactly the
+   fingerprints of the reachable normalized states. A j=1 checkpoint
+   taken once every state is claimed carries the claims verbatim (with
+   the visited set's tag bit set on each lane). *)
+let claim_set_is_reachable_set () =
+  let case name ~monitor ~init cfg0 =
+    let n = (Mc.run ~monitor ~init cfg0).Explore.stats.Explore.states in
+    let cuts = ref [] in
+    let r =
+      Mc.run ~monitor ~init ~checkpoint:(n, fun c -> cuts := c :: !cuts) cfg0
+    in
+    Alcotest.(check int) (name ^ ": states") n r.Explore.stats.Explore.states;
+    let tagged (fp : Mc.Fingerprint.t) = (fp.a lor 1, fp.b lor 1) in
+    match !cuts with
+    | [ c ] ->
+        let claims =
+          List.sort_uniq compare (List.map tagged c.Mc.ck_visited)
+        in
+        let reachable = reachable_normalized cfg0 in
+        let expected =
+          List.sort_uniq compare
+            (List.map (fun c -> tagged (Mc.Fingerprint.of_config c)) reachable)
+        in
+        Alcotest.(check int) (name ^ ": reachable states") n
+          (List.length reachable);
+        Alcotest.(check int) (name ^ ": distinct fingerprints") n
+          (List.length expected);
+        Alcotest.(check int) (name ^ ": claims") n
+          (List.length c.Mc.ck_visited);
+        Alcotest.(check bool)
+          (name ^ ": claim set = {of_config c}")
+          true (claims = expected)
+    | cuts ->
+        Alcotest.failf "%s: %d checkpoints, expected 1" name (List.length cuts)
+  in
+  let _, _, bakery =
+    Verify.Mutex_check.workload ~model:Memory_model.Pso (lock "bakery")
+      ~nprocs:2 ~rounds:1
+  in
+  case "bakery n=2 PSO" ~monitor:Verify.Mutex_check.cs_monitor
+    ~init:Pid.Set.empty bakery;
+  let fuzz =
+    Fuzz.Gen.generate ~seed:6
+      { Fuzz.Gen.default_params with procs = 3; len = 5 }
+  in
+  let _, fuzz_cfg =
+    Litmus.Test.configure (Fuzz.Gen.compile fuzz) ~model:Memory_model.Ra
+  in
+  case
+    (Fuzz.Gen.name fuzz ^ " RA")
+    ~monitor:(fun () _ -> Ok ())
+    ~init:() fuzz_cfg
+
 let suite =
   ( "mc",
     [
@@ -398,4 +479,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_engines_agree;
       Alcotest.test_case "fingerprint equality" `Quick
         fingerprint_matches_key_equality;
+      Alcotest.test_case "claim set is the reachable set" `Quick
+        claim_set_is_reachable_set;
     ] )

@@ -131,6 +131,132 @@ let key_is_stable_and_memory_exact () =
   Alcotest.(check bool) "commit changes the key" false
     (String.equal (Statekey.to_string cfg1) (Statekey.to_string cfg2))
 
+(* ---- Lazy child keys ------------------------------------------------
+
+   The engine steps each child into a delta, settles its labels and
+   keys it before building any configuration; only new children are
+   installed. Both halves are checked here against the eager path. *)
+
+type source = Ops of op list * op list | Fuzz of int | Bakery
+
+let show_source = function
+  | Ops (a, b) ->
+      Printf.sprintf "ops [%s] [%s]"
+        (String.concat ";" (List.map show_op a))
+        (String.concat ";" (List.map show_op b))
+  | Fuzz seed -> Printf.sprintf "fuzz seed %d" seed
+  | Bakery -> "bakery n=2"
+
+let fuzz_params = { Fuzz.Gen.default_params with procs = 3; len = 5 }
+
+let source_cfg src model =
+  match src with
+  | Ops (a, b) ->
+      Config.make ~model
+        ~layout:(Layout.flat ~nprocs:2 ~nregs:4)
+        [| build_program a; build_program b |]
+  | Fuzz seed ->
+      let prog = Fuzz.Gen.generate ~seed fuzz_params in
+      (* both builds: flat code on even seeds, closure trees on odd *)
+      snd
+        (Litmus.Test.configure
+           (Fuzz.Gen.compile ~flat:(seed mod 2 = 0) prog)
+           ~model)
+  | Bakery ->
+      let _, _, cfg =
+        Verify.Mutex_check.workload ~model
+          (Option.get (Locks.Registry.find "bakery"))
+          ~nprocs:2 ~rounds:1
+      in
+      cfg
+
+let arb_lazy_case =
+  QCheck.(
+    make
+      ~print:(fun (src, model_ix, sched) ->
+        Printf.sprintf "%s, %s, schedule [%s]" (show_source src)
+          (Memory_model.to_string (List.nth Memory_model.all model_ix))
+          (String.concat ";" (List.map string_of_int sched)))
+      Gen.(
+        triple
+          (frequency
+             [
+               (2, map2 (fun a b -> Ops (a, b)) (gen arb_ops) (gen arb_ops));
+               (2, map (fun s -> Fuzz s) (0 -- 10_000));
+               (1, return Bakery);
+             ])
+          (0 -- 5)
+          (list_size (0 -- 40) (-3 -- 20))))
+
+let metrics_equal a b =
+  Pid.Map.equal ( = ) (Config.metrics a) (Config.metrics b)
+
+(* Along an arbitrary schedule over a normalized configuration (an
+   engine successor element for [i >= 0], the raw op element of
+   process [-i mod n] otherwise — no-ops included):
+   - [exec_elt_d] is [Config.apply] of [Exec.step]: same steps, same
+     successor (state key and metrics), and the dirty report names
+     exactly what the delta changes;
+   - the settled delta's key ([Fingerprint.step]) is [of_config] of the
+     applied child, which is the eagerly flushed child, with the same
+     notes;
+   - the O(1) bounded-run updates ([Config.reorders_after],
+     [Fingerprint.budget_step]) agree with their recomputations. *)
+let prop_lazy_child_eq_eager =
+  QCheck.Test.make ~name:"lazy child key = of_config of the built child"
+    ~count:300 arb_lazy_case (fun (src, model_ix, sched) ->
+      let model = List.nth Memory_model.all model_ix in
+      let _, cfg0 = Exec.flush_labels (source_cfg src model) in
+      let n = Config.nprocs cfg0 in
+      let rec go cfg fp = function
+        | [] -> true
+        | i :: rest -> (
+            let elts = Explore.successor_elts cfg in
+            let e =
+              if i < 0 then Some (-i mod n, None)
+              else if elts = [] then None
+              else Some (List.nth elts (i mod List.length elts))
+            in
+            match e with
+            | None -> true
+            | Some e ->
+                let d = Exec.step cfg e in
+                let steps, cfg', dirty = Exec.exec_elt_d cfg e in
+                let applied = Config.apply cfg d in
+                let eager_ok =
+                  d.Config.steps = steps
+                  && String.equal (Statekey.to_string applied)
+                       (Statekey.to_string cfg')
+                  && metrics_equal applied cfg'
+                  && Mc.Fingerprint.equal
+                       (Mc.Fingerprint.update fp ~before:cfg ~after:cfg' dirty)
+                       (Mc.Fingerprint.of_config cfg')
+                in
+                let bounded_ok =
+                  Config.reorders_after (Config.reorders_in_flight cfg) cfg d
+                  = Config.reorders_in_flight cfg'
+                  && Mc.Fingerprint.equal
+                       (Mc.Fingerprint.budget_step
+                          (Mc.Fingerprint.budget_term cfg) cfg d)
+                       (Mc.Fingerprint.budget_term cfg')
+                in
+                let notes, settled = Exec.settle d in
+                let eager_notes, child, _ = Exec.flush_labels_d cfg' in
+                let key = Mc.Fingerprint.step fp cfg settled in
+                let lazy_child = Config.apply cfg settled in
+                let lazy_ok =
+                  notes = eager_notes
+                  && (not (Exec.unsettled settled))
+                  && Mc.Fingerprint.equal key (Mc.Fingerprint.of_config child)
+                  && String.equal
+                       (Statekey.to_string lazy_child)
+                       (Statekey.to_string child)
+                  && metrics_equal lazy_child child
+                in
+                eager_ok && bounded_ok && lazy_ok && go child key rest)
+      in
+      go cfg0 (Mc.Fingerprint.of_config cfg0) sched)
+
 let suite =
   ( "statekey",
     [
@@ -138,4 +264,5 @@ let suite =
         key_is_stable_and_memory_exact;
       QCheck_alcotest.to_alcotest prop_lanes_incremental_eq_scratch;
       QCheck_alcotest.to_alcotest prop_fingerprint_update_eq_of_config;
+      QCheck_alcotest.to_alcotest prop_lazy_child_eq_eager;
     ] )
