@@ -459,6 +459,33 @@ let e11 () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A guard's comparison of two throughputs, judged on the median of
+   three alternating pairs rather than on single runs: a capped run
+   lasts ~0.3 s, and on a shared box one neighbour's burst can slow
+   either side of a single comparison by a third. Each leg is an
+   (a, b) pair of rate thunks; a pair runs every leg once, the side
+   that runs first alternating between pairs, and sums each side over
+   the legs. Returns the median pair's (a, b) sums and the three b/a
+   ratios, formatted. *)
+let median_of_pairs legs =
+  let pair k =
+    List.fold_left
+      (fun (sa, sb) (a, b) ->
+        if k mod 2 = 0 then
+          let x = a () in
+          (sa +. x, sb +. b ())
+        else
+          let y = b () in
+          (sa +. a (), sb +. y))
+      (0., 0.) legs
+  in
+  let ratio (a, b) = b /. a in
+  let pairs =
+    List.sort (fun p q -> compare (ratio p) (ratio q)) (List.init 3 pair)
+  in
+  ( List.nth pairs 1,
+    String.concat ", " (List.map (fun p -> Fmt.str "%.2f" (ratio p)) pairs) )
+
 let mc () =
   section
     "MC: parallel model-checking engine — states/sec by domain count and \
@@ -474,7 +501,9 @@ let mc () =
      single-CPU box domain scaling is unmeasurable (extra domains only
      add stop-the-world GC synchronization), so the guard degrades to
      a serial-overhead check: mc j=1 must stay within 0.8x of the
-     exact-key reference explorer. *)
+     exact-key reference explorer. Either way it then checks that
+     continuation sharing holds 0.9x of the raw closure tree on FUZZ#29
+     under PSO, on the same paired medians. *)
   let cap, capped =
     match Sys.getenv_opt "BENCH_MC_CAP" with
     | Some s -> (
@@ -512,9 +541,9 @@ let mc () =
          (fun j -> (Fmt.str "mc j=%d" j, Some (`Parallel j), false, None, true))
          jobs_sweep
     @ [
-        (* the --no-compile escape hatch: raw closure interpreter,
-           identical counts, the before-row of the compiled layer *)
-        ("mc j=1 no-compile", Some (`Parallel 1), false, None, false);
+        (* the raw closure tree (compile:false): identical counts, the
+           before-row of continuation sharing *)
+        ("mc j=1 raw", Some (`Parallel 1), false, None, false);
         ("mc j=1 +por", Some (`Parallel 1), true, None, true);
         ("mc j=4 +por", Some (`Parallel 4), true, None, true);
         (* bounded rows: the reorder-budget under-approximation at K=2
@@ -644,61 +673,38 @@ let mc () =
         "mw/st"; "steals"; "dedup"; "prunes"; "bnd-hits"; "vs j=1"; "skew";
       ]
     rows;
-  (* Compiled execution layer: the flat fast path vs the raw closure
-     interpreter on a generated workload whose every process compiles
-     to Instr code, under the buffered reference model and — first
-     throughput rows for the view-based backend — under RA and SRA.
-     The bakery no-compile row above is the honest fallback
-     comparison: its computed writes and data spins reject
-     flattening, so its delta measures continuation sharing alone. *)
+  (* Continuation sharing on a generated workload: the shared tree
+     vs the raw closure tree, under the buffered reference model and
+     the view-based RA and SRA. The bakery raw rows above are the
+     same comparison on locks. *)
   let fuzz_params = { Fuzz.Gen.default_params with procs = 3; len = 9 } in
   let fuzz_prog = Fuzz.Gen.generate ~seed:29 fuzz_params in
   let fuzz_name = Fuzz.Gen.name fuzz_prog in
-  (* model-name -> closure-path rate, for the vs-closure column and
-     the bench-smoke guard *)
-  let comp_rates : (string * bool, float) Hashtbl.t = Hashtbl.create 8 in
+  let fuzz_test = Fuzz.Gen.compile fuzz_prog in
+  let fuzz_run ~compile model =
+    let mw0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Litmus.Test.run ~compile ~max_states:cap ~engine:(`Parallel 1) fuzz_test
+        ~model
+    in
+    let dt = Unix.gettimeofday () -. t0 in
+    (r.Litmus.Test.stats, dt, Gc.minor_words () -. mw0)
+  in
   let comp_rows =
     List.concat_map
       (fun model ->
         let mname = Memory_model.to_string model in
+        let raw_rate = ref Float.nan in
         List.map
           (fun compile ->
-            let test = Fuzz.Gen.compile ~flat:compile fuzz_prog in
-            (* best of two passes: the second runs with warm memo tables
-               on the closure path, so neither side pays one-off costs
-               and a single noisy pass cannot trip the guard below *)
-            let best = ref Float.neg_infinity in
-            let best_run = ref None in
-            for _ = 1 to 2 do
-              let mw0 = Gc.minor_words () in
-              let t0 = Unix.gettimeofday () in
-              let r =
-                Litmus.Test.run ~compile ~max_states:cap
-                  ~engine:(`Parallel 1) test ~model
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              let mw = Gc.minor_words () -. mw0 in
-              let rate =
-                float_of_int r.Litmus.Test.stats.Explore.states /. dt
-              in
-              if rate > !best then begin
-                best := rate;
-                best_run := Some (r, dt, mw)
-              end
-            done;
-            let r, dt, mw = Option.get !best_run in
-            let s = r.Litmus.Test.stats in
-            let rate = !best in
+            let s, dt, mw = fuzz_run ~compile model in
+            let rate = float_of_int s.Explore.states /. dt in
             let mw_per_state =
               if s.Explore.states = 0 then 0.
               else mw /. float_of_int s.Explore.states
             in
-            Hashtbl.replace comp_rates (mname, compile) rate;
-            let vs_closure =
-              match Hashtbl.find_opt comp_rates (mname, false) with
-              | Some rr when rr > 0. && compile -> Fmt.str "%.2f" (rate /. rr)
-              | _ -> "--"
-            in
+            if not compile then raw_rate := rate;
             records :=
               Fmt.str
                 {|  {"workload": %S, "nprocs": %d, "model": %S,
@@ -716,13 +722,15 @@ let mc () =
             [
               fuzz_name;
               mname;
-              (if compile then "compiled" else "closure");
+              (if compile then "shared" else "raw");
               Report.icol s.Explore.states;
               Report.icol s.Explore.transitions;
               Fmt.str "%.2f" dt;
               Fmt.str "%.0f" rate;
               Fmt.str "%.0f" mw_per_state;
-              vs_closure;
+              (if compile && !raw_rate > 0. then
+                 Fmt.str "%.2f" (rate /. !raw_rate)
+               else "--");
             ])
           [ false; true ])
       [ Memory_model.Pso; Memory_model.Ra; Memory_model.Sra ]
@@ -731,7 +739,7 @@ let mc () =
     ~headers:
       [
         "workload"; "model"; "path"; "states"; "transitions"; "s"; "states/s";
-        "mw/st"; "vs closure";
+        "mw/st"; "vs raw";
       ]
     comp_rows;
   if capped then
@@ -768,13 +776,9 @@ let mc () =
     in
     let r0 = aggregate 0 and r1 = aggregate 1 in
     if cpus >= 2 then begin
-      (* Scaling is judged on its own alternating pairs rather than the
-         table's single rows: a capped run lasts ~0.3 s, and on a
-         shared box one neighbour's burst can slow either side of a
-         single comparison by a third. Three pairs, the side that runs
-         first alternating; each pair's aggregate ratio over the three
-         workloads, and the guard reads the median pair. *)
-      let rate (name, nprocs) j =
+      (* scaling is judged on its own alternating pairs, not on the
+         table's single rows *)
+      let rate (name, nprocs) j () =
         let t0 = Unix.gettimeofday () in
         let v =
           Verify.Mutex_check.check ~max_states:cap ~engine:(`Parallel j)
@@ -783,31 +787,15 @@ let mc () =
         float_of_int v.Verify.Mutex_check.stats.Explore.states
         /. (Unix.gettimeofday () -. t0)
       in
-      let pair k =
-        List.fold_left
-          (fun (a1, aj) w ->
-            if k mod 2 = 0 then
-              let r1 = rate w 1 in
-              (a1 +. r1, aj +. rate w guard_j)
-            else
-              let rj = rate w guard_j in
-              (a1 +. rate w 1, aj +. rj))
-          (0., 0.) workloads
+      let (r1, rj), ratios =
+        median_of_pairs
+          (List.map (fun w -> (rate w 1, rate w guard_j)) workloads)
       in
-      let pairs =
-        List.sort
-          (fun (r1, rj) (r1', rj') -> compare (rj /. r1) (rj' /. r1'))
-          (List.init 3 pair)
-      in
-      let r1, rj = List.nth pairs 1 in
       let ratio = rj /. r1 in
       Fmt.pr
         "@.guard: aggregate j=%d / j=1 = %.2f, median of 3 alternating pairs \
          (%s; floor 1.00, %d CPUs)@."
-        guard_j ratio
-        (String.concat ", "
-           (List.map (fun (r1, rj) -> Fmt.str "%.2f" (rj /. r1)) pairs))
-        cpus;
+        guard_j ratio ratios cpus;
       if ratio < 1.0 then begin
         Fmt.epr
           "guard: parallel scaling regression — j=%d aggregate %.0f st/s \
@@ -837,32 +825,28 @@ let mc () =
         exit 1
       end
     end;
-    (* compiled-layer floor. Measured honestly, the flat fast path is
-       a 1.0-1.25x win on model-checking workloads, not the 2x a
-       dispatch-only argument would promise: ~450 minor words/state go
-       to state keying, copy-on-write config updates and step records,
-       and program-node dispatch is a sliver of that (see EXPERIMENTS
-       E14). So this is a no-regression guard with measured headroom —
-       the compiled path must never fall behind the raw closure
-       interpreter beyond noise. *)
-    match
-      ( Hashtbl.find_opt comp_rates ("PSO", true),
-        Hashtbl.find_opt comp_rates ("PSO", false) )
-    with
-    | Some rc, Some rr when rr > 0. ->
-        let ratio = rc /. rr in
-        Fmt.pr "@.guard: compiled / closure on %s (PSO) = %.2f (floor 0.90)@."
-          fuzz_name ratio;
-        if ratio < 0.9 then begin
-          Fmt.epr
-            "guard: compiled-layer regression — compiled %.0f st/s vs \
-             closure %.0f st/s@."
-            rc rr;
-          exit 1
-        end
-    | _, _ ->
-        Fmt.epr "guard: missing compiled-layer PSO rows@.";
-        exit 1
+    (* sharing floor: the shared tree must never fall behind the raw
+       closure tree beyond noise (sharing pays on locks; on this
+       generated workload it roughly breaks even, see EXPERIMENTS).
+       One run is ~0.2 s, so each side of a pair sums three. *)
+    let rate compile () =
+      let s, dt, _ = fuzz_run ~compile Memory_model.Pso in
+      float_of_int s.Explore.states /. dt
+    in
+    let (rr, rs), ratios =
+      median_of_pairs (List.init 3 (fun _ -> (rate false, rate true)))
+    in
+    let ratio = rs /. rr in
+    Fmt.pr
+      "@.guard: shared / raw closure on %s (PSO) = %.2f, median of 3 \
+       alternating pairs (%s; floor 0.90)@."
+      fuzz_name ratio ratios;
+    if ratio < 0.9 then begin
+      Fmt.epr
+        "guard: sharing regression — shared %.0f st/s vs raw %.0f st/s@." rs
+        rr;
+      exit 1
+    end
   end
 
 let e15 () =

@@ -80,17 +80,6 @@ let por_t =
         ~doc:
           "Partial-order reduction (safe-step persistent sets).")
 
-let no_compile_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Run programs on the raw closure interpreter — skip the flat-code \
-           translation and continuation sharing of the compiled execution \
-           layer. Semantics-identical (same outcomes, counts and verdicts); \
-           the escape hatch that keeps the uncompiled path exercised.")
-
 (* --reorder-bound K | deepen: the reorder-bounded under-approximation
    (fixed budget) or iterative deepening until violation/saturation. *)
 let bound_conv =
@@ -290,12 +279,12 @@ let check_cmd =
       & info [ "max-states" ] ~docv:"K" ~doc:"State cap for exploration.")
   in
   let run (name, factory) model nprocs rounds max_states trace jobs por
-      reorder_bound no_compile progress interval stats_out =
+      reorder_bound progress interval stats_out =
    protect @@ fun () ->
     with_telemetry ~progress ~interval ~stats_out ~workers:jobs ~label:"check"
     @@ fun tel finish ->
     let v =
-      Verify.Mutex_check.check ~tel ~compile:(not no_compile) ~rounds
+      Verify.Mutex_check.check ~tel ~rounds
         ~max_states ~engine:(`Parallel jobs) ~por ?reorder_bound ~model
         factory ~nprocs
     in
@@ -357,7 +346,7 @@ let check_cmd =
       ret
         (const run $ lock_t $ model_t $ nprocs_t $ rounds_t $ max_states_t
        $ trace_t $ jobs_t $ por_t $ reorder_bound_t
-       $ no_compile_t $ progress_t $ interval_t $ stats_out_t))
+       $ progress_t $ interval_t $ stats_out_t))
 
 let stress_cmd =
   let seeds_t =
@@ -413,8 +402,7 @@ let litmus_cmd =
                they have no write buffer to meter — and naming one \
                explicitly is an error."))
   in
-  let run test model jobs por reorder_bound no_compile progress interval
-      stats_out =
+  let run test model jobs por reorder_bound progress interval stats_out =
    protect @@ fun () ->
     let engine = `Parallel jobs in
     let models, sweeping =
@@ -473,7 +461,7 @@ let litmus_cmd =
                     :: !skips
               | None ->
                   let r =
-                    Litmus.Test.run ~tel ~compile:(not no_compile) ~engine
+                    Litmus.Test.run ~tel ~engine
                       ~por ?reorder_bound t ~model
                   in
                   incr runs;
@@ -501,7 +489,7 @@ let litmus_cmd =
     Term.(
       ret
         (const run $ test_t $ one_model_t $ jobs_t $ por_t $ reorder_bound_t
-       $ no_compile_t $ progress_t $ interval_t $ stats_out_t))
+       $ progress_t $ interval_t $ stats_out_t))
 
 let fuzz_cmd =
   let seed_t =

@@ -89,7 +89,7 @@ let pack acc v = (acc * 64) + (v land 63)
    to the DSL through a qualified alias rather than an open. *)
 module P = Memsim.Program
 
-let closure_proc (regs : Memsim.Reg.t array) instrs : Memsim.Program.t =
+let proc (regs : Memsim.Reg.t array) instrs : Memsim.Program.t =
   let ( let* ) = P.( let* ) in
   let rec go acc = function
     | [] -> P.return acc
@@ -122,39 +122,9 @@ let closure_proc (regs : Memsim.Reg.t array) instrs : Memsim.Program.t =
   in
   P.run (go 0 instrs)
 
-(* The AST is first-order, so it compiles to the flat IR {e
-   constructively} — one instruction per constructor, acc-mode return
-   (the packed log is the result, [Instr.pack] being byte-compatible
-   with [pack] above, and flat spins share the generated predicate's
-   truth table). Falls back to the closure build if an operand ever
-   outgrows its packed field — generated values are small, so this is
-   belt-and-braces, but it keeps the generator total. *)
-let compile_proc (regs : Memsim.Reg.t array) instrs : Memsim.Program.t =
-  let module I = Memsim.Instr in
-  match
-    let b = I.create () in
-    List.iter
-      (fun i ->
-        match i with
-        | Read r -> I.emit_read b regs.(r)
-        | Write (r, v) -> I.emit_write b regs.(r) v
-        | Fence -> I.emit_fence b
-        | Cas (r, e, u) -> I.emit_cas b regs.(r) ~expect:e ~update:u
-        | Swap (r, v) -> I.emit_swap b regs.(r) v
-        | Faa (r, d) -> I.emit_faa b regs.(r) ~add:d
-        | Spin r -> I.emit_spin b regs.(r)
-        | Label -> I.emit_label b "fuzz")
-      instrs;
-    I.emit_ret b;
-    I.finish b
-  with
-  | code -> P.flat code
-  | exception Invalid_argument _ -> closure_proc regs instrs
-
 let name t = Fmt.str "FUZZ#%d" t.seed
 
-let compile ?(flat = true) t : Litmus.Test.t =
-  let proc = if flat then compile_proc else closure_proc in
+let compile t : Litmus.Test.t =
   {
     Litmus.Test.name = name t;
     description =

@@ -47,12 +47,10 @@ val name : t -> string
 
 (** Close the program into a litmus test whose outcomes are the packed
     per-process observation logs plus every register's final value.
-    [flat] (default [true]) emits {!Memsim.Instr} flat code directly —
-    the AST is first-order, so the translation is constructive;
-    [~flat:false] builds the closure tree instead (the reference side
-    of the compiled-vs-closure parity suite). The two builds are
-    observation-identical by construction. *)
-val compile : ?flat:bool -> t -> Litmus.Test.t
+    Each process is a {!Memsim.Program.t} closure tree, one node per
+    instruction; whether its continuations are shared is the runner's
+    [?compile] choice, as for every other test. *)
+val compile : t -> Litmus.Test.t
 
 (** Insert a fence after every plain write (oracle 3's transform). *)
 val saturate : t -> t

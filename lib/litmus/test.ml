@@ -152,7 +152,7 @@ let separation ~stronger ~weaker =
     (each process runs alone, in pid order, over the cumulative state —
     so spins awaiting an earlier process's write terminate). Valid for
     tests whose processes execute their fences in fixed program-text
-    order, which holds for the whole corpus and for compiled fuzz
+    order, which holds for the whole corpus and for generated fuzz
     programs. *)
 let fence_sites test =
   let _regs, cfg = configure test ~model:Memory_model.Sc in

@@ -29,10 +29,9 @@ type run = {
           {!pp_run} flags it as ["reorder-bound K subset"]. *)
 }
 
-(** [compile] (default [true]) is {!Memsim.Config.make}'s flag: flat
-    translation / continuation sharing on, or the raw
-    closure-interpreter path ([--no-compile], and the parity suite's
-    reference side). Semantics-invisible either way. *)
+(** [compile] (default [true]) is {!Memsim.Config.make}'s flag:
+    continuation sharing on, or the raw closure tree (the parity
+    suite's reference side). Semantics-invisible either way. *)
 val configure :
   ?compile:bool -> t -> model:Memory_model.t -> Reg.t array * Config.t
 

@@ -88,7 +88,7 @@ let footprint cfg ((p, reg) : Exec.elt) : footprint =
         | Some r -> write_fp r
         | None -> local_fp
       in
-      match Program.reify (Config.skipped cfg p) with
+      match Config.skipped cfg p with
       | Program.Done _ | Ret _ -> local_fp
       | Read (r, _) | Spin (r, _, _) -> if forwarded r then local_fp else read_fp r
       | Spinv (r :: _, _, _, _) -> if forwarded r then local_fp else read_fp r
@@ -97,7 +97,7 @@ let footprint cfg ((p, reg) : Exec.elt) : footprint =
       | Fence _ -> if Wbuf.is_empty wb then local_fp else forced ()
       | Cas (r, _, _, _) | Swap (r, _, _) | Faa (r, _, _) ->
           if Wbuf.is_empty wb then rw_fp r else forced ()
-      | Label _ | Flat _ -> assert false)
+      | Label _ -> assert false)
 
 let conflict a b =
   (not (Reg.Set.disjoint a.writes b.writes))

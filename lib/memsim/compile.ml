@@ -1,13 +1,11 @@
-(** Program compilation: closure-tree sharing for data-dependent
-    programs.
+(** Program compilation: continuation sharing.
 
-    First-order program sources compile to the flat {!Instr} IR
-    directly (see [Fuzz.Gen]). Everything else — lock algorithms,
-    hand-written litmus threads, masked trees — is a {!Program.t}
-    closure tree whose continuations {e rebuild} their subtree on
-    every call: stepping a process re-runs the CPS pipeline from the
-    current position to the next node, allocating the whole chain
-    again, and dispatch-side queries ([next_kind], POR footprints)
+    Every program source — lock algorithms, litmus threads, generated
+    fuzz programs, masked trees — is a {!Program.t} closure tree whose
+    continuations {e rebuild} their subtree on every call: stepping a
+    process re-runs the CPS pipeline from the current position to the
+    next node, allocating the whole chain again, and dispatch-side
+    queries ([next_kind], POR footprints)
     multiply that cost. Exploration revisits the same program
     positions millions of times, so the fix is sharing, not staging:
     {!share} rewrites the tree so every continuation is memoized on
@@ -19,8 +17,9 @@
     Bounded unrolling, with fallback: each memo table holds at most
     [fanout] distinct arguments. A continuation forced on more values
     than that is data-dependent beyond what's worth caching — beyond
-    the bound it falls back to the raw closure (the uncompiled
-    interpreter path), bit-for-bit the same program, just unshared.
+    the bound it falls back to the raw closure (the tree
+    [Config.make ~compile:false] runs), bit-for-bit the same program,
+    just unshared.
 
     Contract (semantics-invisibility): continuations must be pure up
     to observation — forcing [k v] twice yields equivalent subtrees.
@@ -105,7 +104,7 @@ and memo_list ~fanout (k : int list -> Program.t) : int list -> Program.t =
     module header for the contract and the [fanout] fallback). *)
 and share ~fanout (t : Program.t) : Program.t =
   match t with
-  | Program.Done _ | Program.Ret _ | Program.Flat _ -> t
+  | Program.Done _ | Program.Ret _ -> t
   | Read (r, k) -> Read (r, memo_int ~fanout k)
   | Write (r, v, k) -> Write (r, v, memo_unit ~fanout k)
   | Fence k -> Fence (memo_unit ~fanout k)
@@ -116,115 +115,7 @@ and share ~fanout (t : Program.t) : Program.t =
   | Spinv (rs, prev, pred, k) -> Spinv (rs, prev, pred, memo_list ~fanout k)
   | Label (s, k) -> Label (s, memo_unit ~fanout k)
 
-(* ------------------------------------------------------------------ *)
-(* Flattening: closure tree -> Instr code, probe-validated            *)
-(* ------------------------------------------------------------------ *)
-
-exception Fallback
-
-(* Unrolling bound: no program source in this repository comes near
-   it; hitting it means the tree is (value-dependently) unbounded, so
-   fall back. *)
-let max_flat_ops = 4096
-
-(* One translation pass: walk the tree feeding continuations the probe
-   environment — reads/spins/rmws observe [(seed + mult*i) mod modu]
-   at the i-th observation, cas outcomes are the constant [cas_ok].
-   Emits one instruction per node; raises [Fallback] (or the emitters'
-   [Invalid_argument], on operands that don't fit their packed fields)
-   when the fragment is outside the IR.
-
-   Returns are always emitted constant-mode. The acc-mode return (the
-   packed observation log, [Instr.pack]ing with a 6-bit mask) is the
-   generator's calling convention, sound there because [Fuzz.Gen]'s
-   closure build packs with the {e same} mask; a closure tree's
-   [Ret v] with [v] equal to the mirrored log under every probe is
-   still not proof that it means the masked log — [read r >>= ret]
-   coincides with it on any probe value below 64 yet returns the raw
-   value at runtime. Probes can't separate the two, so flatten never
-   claims acc-mode: observation-dependent returns disagree across
-   passes and fall back to {!share}. *)
-let flatten_pass ~seed ~mult ~modu ~cas_ok (t : Program.t) : Instr.code =
-  let b = Instr.create () in
-  let probe i = (seed + (mult * i)) mod modu in
-  let rec go i fuel (t : Program.t) =
-    if fuel = 0 then raise Fallback;
-    match t with
-    | Program.Done _ | Flat _ | Spinv _ -> raise Fallback
-    | Ret v -> Instr.emit_ret_const b v
-    | Read (r, k) ->
-        Instr.emit_read b r;
-        go (i + 1) (fuel - 1) (k (probe i))
-    | Write (r, v, k) ->
-        Instr.emit_write b r v;
-        go i (fuel - 1) (k ())
-    | Fence k ->
-        Instr.emit_fence b;
-        go i (fuel - 1) (k ())
-    | Cas (r, expect, update, k) ->
-        Instr.emit_cas b r ~expect ~update;
-        go (i + 1) (fuel - 1) (k cas_ok)
-    | Swap (r, v, k) ->
-        Instr.emit_swap b r v;
-        go (i + 1) (fuel - 1) (k (probe i))
-    | Faa (r, d, k) ->
-        Instr.emit_faa b r ~add:d;
-        go (i + 1) (fuel - 1) (k (probe i))
-    | Spin (r, pred, k) ->
-        (* only the canonical always-satisfiable predicate is flat;
-           physical comparison — a data predicate falls back *)
-        if pred != Program.flat_spin_pred then raise Fallback;
-        Instr.emit_spin b r;
-        go (i + 1) (fuel - 1) (k (probe i))
-    | Label (s, k) ->
-        Instr.emit_label b s;
-        go i (fuel - 1) (k ())
-  in
-  go 0 max_flat_ops t;
-  Instr.finish b
-
-let code_equal (c1 : Instr.code) (c2 : Instr.code) =
-  c1.Instr.ops = c2.Instr.ops && c1.Instr.labels = c2.Instr.labels
-
-(** Translate a closure tree into flat {!Instr} code, validating with
-    three probe passes: the tree is unrolled under three different
-    observation environments (distinct per-step read values with
-    coprime strides and moduli, and both cas outcomes), and the
-    translation is accepted only if all three passes emit identical
-    code. Any value dependence in the program's {e shape} or
-    {e immediates} — a computed write value, a branch on an observed
-    value, a data-dependent spin, an observation-dependent return —
-    makes some pass emit different code (or raise), so such programs
-    honestly fall back ([None]) to the closure interpreter. Returns
-    compile constant-mode only; the acc-mode (packed-log) return is
-    [Fuzz.Gen]'s constructive convention (see [flatten_pass]).
-
-    Contract (same as {!share}'s, one notch stronger): continuations
-    must be pure, and value-{e oblivious} — the instruction sequence a
-    continuation produces may not depend on the values it is fed.
-    Every intended source (straight-line litmus threads, fuzz ASTs,
-    masked variants of either) satisfies it; lock fragments, which
-    compute (bakery's maximum scan) or predicate on (spin loops)
-    their data, are exactly the programs the probe validation
-    rejects. *)
-let flatten (t : Program.t) : Program.t option =
-  match t with
-  | Program.Flat _ -> Some t
-  | _ -> (
-      match
-        ( flatten_pass ~seed:0 ~mult:13 ~modu:61 ~cas_ok:true t,
-          flatten_pass ~seed:1 ~mult:11 ~modu:59 ~cas_ok:false t,
-          flatten_pass ~seed:7 ~mult:29 ~modu:53 ~cas_ok:true t )
-      with
-      | exception (Fallback | Invalid_argument _) -> None
-      | c1, c2, c3 ->
-          if code_equal c1 c2 && code_equal c2 c3 then Some (Program.flat c1)
-          else None)
-
-(** Compile a program for exploration: flat code passes through
-    untouched (already compiled); closure trees are flattened to
-    {!Instr} code when the probe-validated translator accepts them,
-    and get their continuations shared otherwise. Either way the
+(** Compile a program for exploration: share its continuations. The
     identity up to observation. *)
 let program ?(fanout = default_fanout) (t : Program.t) : Program.t =
-  match flatten t with Some t -> t | None -> share ~fanout t
+  share ~fanout t

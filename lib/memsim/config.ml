@@ -371,11 +371,10 @@ let initial_pstate prog =
     registers at their layout-declared initial values.
 
     [compile] (default [true]) runs each program through
-    {!Compile.program} — continuation sharing for closure trees, a
-    pass-through for flat code — which is the identity up to
-    observation; [~compile:false] keeps the raw closure interpreter
-    path (the [--no-compile] escape hatch, and the reference side of
-    the compiled-vs-closure parity suite). *)
+    {!Compile.program} — continuation sharing, the identity up to
+    observation; [~compile:false] keeps the raw closure tree (the
+    reference side of the shared-vs-raw parity suite and bench
+    guard). *)
 let make ?(compile = true) ~model ~layout programs =
   let nprocs = Layout.nprocs layout in
   if Array.length programs <> nprocs then

@@ -149,8 +149,8 @@ type t = {
 (** [make ~model ~layout programs] is the initial configuration
     [C_init]. [compile] (default [true]) runs each program through
     {!Compile.program} — semantics-invisible continuation sharing;
-    [~compile:false] keeps the raw closure-interpreter path (the
-    [--no-compile] escape hatch and the parity suite's reference). *)
+    [~compile:false] keeps the raw closure tree (the parity suite's
+    and the bench guard's reference). *)
 val make :
   ?compile:bool -> model:Memory_model.t -> layout:Layout.t ->
   Program.t array -> t

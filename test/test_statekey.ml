@@ -157,11 +157,7 @@ let source_cfg src model =
         [| build_program a; build_program b |]
   | Fuzz seed ->
       let prog = Fuzz.Gen.generate ~seed fuzz_params in
-      (* both builds: flat code on even seeds, closure trees on odd *)
-      snd
-        (Litmus.Test.configure
-           (Fuzz.Gen.compile ~flat:(seed mod 2 = 0) prog)
-           ~model)
+      snd (Litmus.Test.configure (Fuzz.Gen.compile prog) ~model)
   | Bakery ->
       let _, _, cfg =
         Verify.Mutex_check.workload ~model
