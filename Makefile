@@ -47,7 +47,9 @@ mc-bench:
 # 0.8x the exact-key reference explorer, Explore.reference, on the
 # same three workloads). It also fails if continuation sharing falls
 # below 0.9x the raw closure tree on FUZZ#29 (PSO), on the same
-# paired medians. Never touches the committed BENCH_mc.json numbers.
+# paired medians, and if the whole bakery n=3 PSO check at j=1 allocates
+# more than 200 words per state (all domains, median of three runs).
+# Never touches the committed BENCH_mc.json numbers.
 # The guard runs with telemetry always-on bumps compiled in, so a
 # regression in the zero-cost-when-off discipline fails here too.
 # The second step exercises the observability surface end to end:

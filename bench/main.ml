@@ -467,6 +467,12 @@ let e11 () =
    that runs first alternating between pairs, and sums each side over
    the legs. Returns the median pair's (a, b) sums and the three b/a
    ratios, formatted. *)
+(* Minor words allocated by every domain so far. [Gc.quick_stat] folds
+   in the counts of domains that have terminated, so a difference taken
+   after an engine's worker domains have joined counts all of their
+   allocation; [Gc.minor_words] would count the calling domain's only. *)
+let all_domain_minor_words () = (Gc.quick_stat ()).Gc.minor_words
+
 let median_of_pairs legs =
   let pair k =
     List.fold_left
@@ -503,7 +509,9 @@ let mc () =
      a serial-overhead check: mc j=1 must stay within 0.8x of the
      exact-key reference explorer. Either way it then checks that
      continuation sharing holds 0.9x of the raw closure tree on FUZZ#29
-     under PSO, on the same paired medians. *)
+     under PSO, on the same paired medians, and that the whole bakery
+     n=3 PSO check at j=1 allocates at most 200 words per state (all
+     domains, median of three runs). *)
   let cap, capped =
     match Sys.getenv_opt "BENCH_MC_CAP" with
     | Some s -> (
@@ -568,7 +576,7 @@ let mc () =
                telemetry can never disagree *)
             let jobs = match engine with None -> 0 | Some (`Parallel j) -> j in
             let tel = Telemetry.Hub.create ~workers:(max 1 jobs) () in
-            let mw0 = Gc.minor_words () in
+            let mw0 = all_domain_minor_words () in
             let t0 = Unix.gettimeofday () in
             let s, reorder_bound, bound_exact =
               match engine with
@@ -595,7 +603,7 @@ let mc () =
                     v.Verify.Mutex_check.bound_exact )
             in
             let dt = Unix.gettimeofday () -. t0 in
-            let mw = Gc.minor_words () -. mw0 in
+            let mw = all_domain_minor_words () -. mw0 in
             let ctr n = Option.value ~default:0 (Telemetry.Hub.read_int tel n) in
             let steals = ctr "steals"
             and dedup = ctr "dedup_hits"
@@ -682,14 +690,14 @@ let mc () =
   let fuzz_name = Fuzz.Gen.name fuzz_prog in
   let fuzz_test = Fuzz.Gen.compile fuzz_prog in
   let fuzz_run ~compile model =
-    let mw0 = Gc.minor_words () in
+    let mw0 = all_domain_minor_words () in
     let t0 = Unix.gettimeofday () in
     let r =
       Litmus.Test.run ~compile ~max_states:cap ~engine:(`Parallel 1) fuzz_test
         ~model
     in
     let dt = Unix.gettimeofday () -. t0 in
-    (r.Litmus.Test.stats, dt, Gc.minor_words () -. mw0)
+    (r.Litmus.Test.stats, dt, all_domain_minor_words () -. mw0)
   in
   let comp_rows =
     List.concat_map
@@ -845,6 +853,30 @@ let mc () =
       Fmt.epr
         "guard: sharing regression — shared %.0f st/s vs raw %.0f st/s@." rs
         rr;
+      exit 1
+    end;
+    (* allocation ceiling: the whole bakery n=3 PSO check at j=1 (not
+       capped — the benchmark's headline run), all-domain minor words
+       per state, median of three runs, so the stepping path's
+       allocation cannot creep back unnoticed *)
+    let words () =
+      let w0 = all_domain_minor_words () in
+      let v =
+        Verify.Mutex_check.check ~engine:(`Parallel 1) ~model:Memory_model.Pso
+          (lock "bakery") ~nprocs:3
+      in
+      (all_domain_minor_words () -. w0)
+      /. float_of_int v.Verify.Mutex_check.stats.Explore.states
+    in
+    let runs = List.sort compare (List.init 3 (fun _ -> words ())) in
+    let w = List.nth runs 1 in
+    Fmt.pr
+      "@.guard: bakery n=3 PSO j=1 allocates %.1f words/state, median of 3 \
+       runs (%s; ceiling 200)@."
+      w
+      (String.concat ", " (List.map (Fmt.str "%.1f") runs));
+    if w > 200. then begin
+      Fmt.epr "guard: allocation regression — %.1f words/state > 200@." w;
       exit 1
     end
   end

@@ -306,24 +306,25 @@ let check_cmd =
         v.Verify.Mutex_check.deepen_levels
     in
     finish ~records:level_records
-      Telemetry.Sink.
-        [
-          ("cmd", S "check");
-          ("lock", S name);
-          ("model", S (Memory_model.to_string model));
-          ("nprocs", I nprocs);
-          ("rounds", I rounds);
-          ("holds", B v.Verify.Mutex_check.holds);
-          ("states", I v.Verify.Mutex_check.stats.Explore.states);
-          ("transitions", I v.Verify.Mutex_check.stats.Explore.transitions);
-          ("truncated", B v.Verify.Mutex_check.stats.Explore.truncated);
-          ("bound_hits", I v.Verify.Mutex_check.stats.Explore.bound_hits);
-          ( "reorder_bound",
-            match v.Verify.Mutex_check.reorder_bound with
-            | Some k -> I k
-            | None -> S "none" );
-          ("bound_exact", B v.Verify.Mutex_check.bound_exact);
-        ];
+      (Telemetry.Sink.
+         [
+           ("cmd", S "check");
+           ("lock", S name);
+           ("model", S (Memory_model.to_string model));
+           ("nprocs", I nprocs);
+           ("rounds", I rounds);
+           ("holds", B (Verify.Mutex_check.established v));
+           ("states", I v.Verify.Mutex_check.stats.Explore.states);
+           ("transitions", I v.Verify.Mutex_check.stats.Explore.transitions);
+           ("truncated", B v.Verify.Mutex_check.stats.Explore.truncated);
+           ("bound_hits", I v.Verify.Mutex_check.stats.Explore.bound_hits);
+           ( "reorder_bound",
+             match v.Verify.Mutex_check.reorder_bound with
+             | Some k -> I k
+             | None -> S "none" );
+           ("bound_exact", B v.Verify.Mutex_check.bound_exact);
+         ]
+      @ Verify.Mutex_check.truncated_fields v);
     Fmt.pr "%a@." Verify.Mutex_check.pp_verdict v;
     List.iter
       (fun (l : Mc.deepen_level) ->

@@ -12,15 +12,16 @@
       lock and no shared queue on the common path, which is what made
       the former injection-queue design scale negatively with domains;
     - states are deduplicated {e at creation}, and probed before they
-      are built: an expansion steps each edge into a delta
-      ([Exec.step]), monitors its steps, settles the stepped process's
-      labels and monitors their notes, keys the child from the delta
-      ([Fingerprint.step]) and claims the key with {!Visited.add} (a
-      lock-free racy probe of the shard's flat table, then a locked
-      re-check and insert for the survivors). Only claim winners get
-      a configuration ([Config.apply]) and a task, so duplicate states
-      — the majority, on lock workloads — are never built and never
-      travel through the deques;
+      are built: an expansion steps each edge into its worker's one
+      scratch delta ([Exec.step_into]), monitors its steps, settles
+      the stepped process's labels and monitors their notes, keys the
+      child from the delta ([Fingerprint.step]) and claims the key
+      with {!Visited.add} (a lock-free racy probe of the shard's flat
+      table, then a locked re-check and insert for the survivors).
+      Only claim winners get a process state and a configuration
+      ([Config.apply], the delta's one copy-out) and a task, so
+      duplicate states — the majority, on lock workloads — allocate
+      only their steps and never travel through the deques;
     - each task carries its fingerprint, updated in O(1) per edge;
     - with [por], each expansion first looks for a persistent-singleton
       safe step ({!Por}); finding one prunes every sibling
@@ -92,15 +93,18 @@ type checkpoint = {
 (* The one child path. Every child goes through it — an expansion's
    children, each process's label run at the root, each element of a
    replayed checkpoint path — so a resume cannot drift from the live
-   run. In order: monitor the element's steps; settle the stepped
-   process's labels (the parent is normalized, so only it can be
-   poised at one) and monitor their notes; key the child from the
-   delta; [claim] the key. Only a winner is built: [install] makes its
-   task, and with it the configuration ([Config.apply]). Duplicates,
-   the majority of children on lock workloads, build neither. A
-   monitor rejection calls [reject] with the monitor value before the
-   rejected steps and yields no child. Hooks are passed as static or
-   per-run closures, so no closure is allocated per child. *)
+   run. [d] is the caller's scratch delta, just stepped; it is valid
+   until the caller's next step into it, so the path settles it in
+   place and [install] copies it out. In order: monitor the element's
+   steps; settle the stepped process's labels (the parent is
+   normalized, so only it can be poised at one) and monitor their
+   notes; key the child from the delta; [claim] the key. Only a winner
+   is built: [install] makes its task, and with it the configuration
+   ([Config.apply]). Duplicates, the majority of children on lock
+   workloads, build neither. A monitor rejection calls [reject] with
+   the monitor value before the rejected steps and yields no child.
+   Hooks are passed as static or per-run closures, so no closure is
+   allocated per child. *)
 let rec child ~monitor ~claim ~reject ~install (t : 'm task) elt
     (d : Config.delta) =
   match monitor_steps monitor t.m d.Config.steps with
@@ -109,7 +113,7 @@ let rec child ~monitor ~claim ~reject ~install (t : 'm task) elt
       None
   | Ok m when not (Exec.unsettled d) -> claim_child ~claim ~install t elt m d
   | Ok m -> (
-      let notes, d = Exec.settle d in
+      let notes = Exec.settle t.cfg d in
       match monitor_steps monitor m notes with
       | Error message ->
           reject t elt m message;
@@ -136,20 +140,23 @@ let normalized t _elt m d fp = { t with cfg = Config.apply t.cfg d; fp; m }
 let claim_any (_ : Config.t) (_ : Config.delta) (_ : Fingerprint.t) = true
 
 (* The root task: [cfg0] normalized process by process, each one's
-   pending labels settled as a child of the partly normalized root. The
-   element passed along is unused by [normalized]; a rejection reports
-   it to [reject], which decides what a root violation records. *)
-let root_task ~monitor ~reject ~init cfg0 =
+   pending labels settled as a child of the partly normalized root (its
+   no-op delta loaded into [d]). The element passed along is unused by
+   [normalized]; a rejection reports it to [reject], which decides what
+   a root violation records. *)
+let root_task ~monitor ~reject ~init d cfg0 =
   let n = Config.nprocs cfg0 in
   let rec go p t =
     if p >= n then Some t
-    else
+    else begin
+      Config.idle d p (Config.pstate t.cfg p);
       match
         child ~monitor ~claim:claim_any ~reject ~install:normalized t
-          cfg0.Config.op_elts.(p) (Config.idle t.cfg p)
+          cfg0.Config.op_elts.(p) d
       with
       | Some t -> go (p + 1) t
       | None -> None
+    end
   in
   go 0
     {
@@ -166,19 +173,19 @@ let root_task ~monitor ~reject ~init cfg0 =
     tasks from their recorded paths. Raises [Invalid_argument] if the
     monitor rejects along the way: a checkpoint never stores a
     violating pending path, so that means the checkpoint does not
-    belong to this workload. *)
+    belong to this workload. [d] is the caller's scratch delta. *)
 let replay_task (type m)
-    ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
+    ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m) d
     (cfg0 : Config.t) (path : Exec.elt list) : m task =
   let reject _ _ _ msg =
     Fmt.invalid_arg "Mc.replay_task: monitor rejects: %s" msg
   in
-  let root = Option.get (root_task ~monitor ~reject ~init cfg0) in
+  let root = Option.get (root_task ~monitor ~reject ~init d cfg0) in
   List.fold_left
     (fun t elt ->
+      Exec.step_into d t.cfg elt;
       Option.get
-        (child ~monitor ~claim:claim_any ~reject ~install:extended t elt
-           (Exec.step t.cfg elt)))
+        (child ~monitor ~claim:claim_any ~reject ~install:extended t elt d))
     root path
 
 let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
@@ -251,6 +258,12 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
   | Some c ->
       List.iter (fun fp -> ignore (Visited.add visited fp)) c.ck_visited);
   let frontier : m task Frontier.t = Frontier.create ~workers:jobs in
+  (* One scratch delta per worker: every child is stepped into its
+     worker's delta, which the next step overwrites. Set-up (root,
+     resume replay) runs before the workers start and uses worker 0's.
+     A spawned worker allocates its own on its domain, so no two
+     workers' deltas share a cache line. *)
+  let scratch = Array.make jobs (Config.scratch ()) in
   let states =
     Atomic.make (match resume with Some c -> c.ck_states | None -> 0)
   and transitions =
@@ -298,7 +311,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
               | _ ->
                   let n = List.length path - 1 in
                   let prefix = List.filteri (fun i _ -> i < n) path in
-                  (replay_task ~monitor ~init cfg0 prefix).m
+                  (replay_task ~monitor ~init scratch.(0) cfg0 prefix).m
             in
             { Explore.message; path; monitor = m })
           c.ck_violations
@@ -334,7 +347,12 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
      term in its worker's slot, so a child's term is an O(1) update. *)
   let parent_budget = Array.make jobs { Fingerprint.a = 0; b = 0 } in
   (* Per-worker claim hooks, built once: claim the child's key, count
-     the winner or the duplicate. *)
+     the winner or the duplicate. The state cap is enforced here, not
+     only when an expansion starts, so one last expansion cannot claim
+     past it: a capped run ends at exactly [max_states] states at any
+     j. The count is taken only for a new key, so duplicates never
+     touch the shared counter; a new key past the cap stays in the
+     visited set uncounted and unexpanded — the run is truncated. *)
   let claims =
     Array.init jobs (fun w ->
         let claim cfg d fp =
@@ -345,10 +363,13 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
                 Fingerprint.mix fp
                   (Fingerprint.budget_step parent_budget.(w) cfg d)
           in
-          if Visited.add visited key then begin
-            Atomic.incr states;
-            true
-          end
+          if Visited.add visited key then
+            if Atomic.fetch_and_add states 1 < max_states then true
+            else begin
+              Atomic.decr states;
+              Atomic.set truncated true;
+              false
+            end
           else begin
             Telemetry.Cells.incr c_dedup ~worker:w;
             false
@@ -368,68 +389,36 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
     | None -> true
     | Some k -> Config.reorders_after in_flight cfg d <= k
   in
-  (* The claim winners among [edges] (element, delta pairs), first
-     child first. *)
-  let rec claim_edges claim t = function
-    | [] -> []
-    | (elt, d) :: rest -> (
-        match child ~monitor ~claim ~reject ~install:extended t elt d with
-        | Some c -> c :: claim_edges claim t rest
-        | None -> claim_edges claim t rest)
-  in
-  (* The unreduced, unbounded expansion: every element is an edge,
-     stepped straight into the child path — no edge list. *)
-  let rec claim_elts claim t = function
+  (* The claim winners among [elts], first child first: each element
+     is stepped into the worker's delta [d] and, when [admit] lets it
+     through (an unbounded run admits all; a bounded one counts what
+     it refuses), sent straight down the child path. *)
+  let rec claim_elts claim d admit t = function
     | [] -> []
     | elt :: rest -> (
-        match
-          child ~monitor ~claim ~reject ~install:extended t elt
-            (Exec.step t.cfg elt)
-        with
-        | Some c -> c :: claim_elts claim t rest
-        | None -> claim_elts claim t rest)
+        Exec.step_into d t.cfg elt;
+        if not (admit d) then claim_elts claim d admit t rest
+        else
+          match child ~monitor ~claim ~reject ~install:extended t elt d with
+          | Some c -> c :: claim_elts claim d admit t rest
+          | None -> claim_elts claim d admit t rest)
   in
-  (* POR edge selection: a single safe step when one exists, the full
-     expansion otherwise. Probing a candidate means stepping it;
-     failed probes are recycled into the full expansion so no element
-     is stepped twice. Inadmissible edges are dropped and counted. *)
-  let select_edges cfg in_flight elts =
-    let step e = Exec.step cfg e in
-    let nbound = ref 0 in
-    let edges =
-      (let rec probe probed = function
-          | [] -> `Full probed
-          | p :: ps ->
-              let e : Exec.elt = (p, None) in
-              let d = step e in
-              (* the budget-aware filter already vouches for the
-                 candidate's admissibility; the successor check stays
-                 as defense in depth — an over-budget ample candidate
-                 cannot stand for its siblings and falls back to the
-                 full (filtered) expansion, where it is pruned like any
-                 other inadmissible edge *)
-              if Por.invisible_after d && admissible cfg in_flight d then
-                `Ample (e, d)
-              else probe ((e, d) :: probed) ps
-        in
-       match probe [] (Por.ample_candidates ?bound cfg) with
-       | `Ample (e, d) -> [ (e, d) ]
-       | `Full probed ->
-           List.filter_map
-             (fun e ->
-               let d =
-                 match List.assoc_opt e probed with
-                 | Some d -> d
-                 | None -> step e
-               in
-               if admissible cfg in_flight d then Some (e, d)
-               else begin
-                 incr nbound;
-                 None
-               end)
-             elts)
-    in
-    (edges, !nbound)
+  let admit_all (_ : Config.delta) = true in
+  (* POR's safe step: the first candidate whose step, probed into [d],
+     is invisible and admissible — [d] then holds it. A failed probe is
+     not kept: the full expansion steps that element again. *)
+  let rec ample cfg d in_flight = function
+    | [] -> None
+    | p :: ps ->
+        let e = cfg.Config.op_elts.(p) in
+        Exec.step_into d cfg e;
+        (* the budget-aware filter already vouches for the candidate's
+           admissibility; the successor check stays as defense in
+           depth — an over-budget ample candidate cannot stand for its
+           siblings and falls back to the full (filtered) expansion,
+           where it is pruned like any other inadmissible edge *)
+        if Por.invisible_after d && admissible cfg in_flight d then Some e
+        else ample cfg d in_flight ps
   in
   (* one atomic add per expansion, not one per edge *)
   let count_edges w n =
@@ -491,47 +480,52 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
           []
         end
         else begin
-          let claim = claims.(w) in
-          let in_flight =
-            match bound with
-            | None -> 0
-            | Some _ ->
-                parent_budget.(w) <- Fingerprint.budget_term cfg;
-                Config.reorders_in_flight cfg
-          in
+          let claim = claims.(w) and d = scratch.(w) in
           match (por, bound) with
           | false, None ->
               count_edges w (List.length elts);
-              claim_elts claim t elts
-          | false, Some _ ->
-              (* step first, admit after: an over-budget edge is
-                 excluded from the bounded transition system — never
-                 counted as a transition, never monitored *)
+              claim_elts claim d admit_all t elts
+          | _ ->
+              (* step, admit, claim — element by element: an over-budget
+                 edge is excluded from the bounded transition system,
+                 never counted as a transition, never monitored *)
+              let in_flight =
+                match bound with
+                | None -> 0
+                | Some _ ->
+                    parent_budget.(w) <- Fingerprint.budget_term cfg;
+                    Config.reorders_in_flight cfg
+              in
               let nbound = ref 0 in
-              let admitted =
-                List.filter_map
-                  (fun elt ->
-                    let d = Exec.step cfg elt in
-                    if admissible cfg in_flight d then Some (elt, d)
-                    else begin
-                      incr nbound;
-                      None
-                    end)
-                  elts
+              let admit d =
+                admissible cfg in_flight d
+                || begin
+                     incr nbound;
+                     false
+                   end
+              in
+              let children, n =
+                match
+                  if por then
+                    ample cfg d in_flight (Por.ample_candidates ?bound cfg)
+                  else None
+                with
+                | Some e ->
+                    (* an ample step prunes every sibling interleaving *)
+                    ( Option.to_list
+                        (child ~monitor ~claim ~reject ~install:extended t e d),
+                      1 )
+                | None ->
+                    let children = claim_elts claim d admit t elts in
+                    (children, List.length elts - !nbound)
               in
               record_bound_hits w t !nbound;
-              count_edges w (List.length admitted);
-              claim_edges claim t admitted
-          | true, _ ->
-              let edges, nbound = select_edges cfg in_flight elts in
-              record_bound_hits w t nbound;
-              let n = List.length edges in
               count_edges w n;
-              (* an ample step prunes every sibling interleaving;
-                 bound-pruned edges are not POR prunes *)
-              Telemetry.Cells.add c_por ~worker:w
-                (List.length elts - n - nbound);
-              claim_edges claim t edges
+              (* bound-pruned edges are not POR prunes *)
+              if por then
+                Telemetry.Cells.add c_por ~worker:w
+                  (List.length elts - n - !nbound);
+              children
         end
       end
     end
@@ -596,6 +590,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
     | None -> ()
   in
   let guarded_worker w () =
+    if w > 0 then scratch.(w) <- Config.scratch ();
     try seek w
     with e ->
       (* fail loudly but never leave sibling domains blocked *)
@@ -613,12 +608,12 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
         (* the recorded pending tasks, rebuilt by deterministic replay
            in the recorded (pop) order — already claimed, so they are
            re-expanded like deepening seeds, not re-counted *)
-        List.map (replay_task ~monitor ~init cfg0) c.ck_pending
+        List.map (replay_task ~monitor ~init scratch.(0) cfg0) c.ck_pending
     | None, None -> (
         let reject _ _ _ message =
           record_violation { Explore.message; path = []; monitor = init }
         in
-        match root_task ~monitor ~reject ~init cfg0 with
+        match root_task ~monitor ~reject ~init scratch.(0) cfg0 with
         | None -> []
         | Some t ->
             let key =

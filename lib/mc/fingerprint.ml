@@ -72,16 +72,22 @@ let update fp ~before ~after (d : Memsim.Exec.dirty) =
 
 (** [step fp cfg d]: the fingerprint of [Config.apply cfg d], given
     [fp = of_config cfg], without building that configuration — the
-    probe key of an uninstalled child. [d]'s process term is replaced;
+    probe key of an uninstalled child. [d]'s process term is replaced
+    (the delta carries the stepped process's refreshed lanes);
     a commit swaps one memory token ([r]'s old one out, when [r] was
     bound); a new store swaps the store lanes. *)
 let step fp (cfg : Config.t) (d : Config.delta) =
-  let p = d.Config.pid in
-  let old = Config.pstate cfg p and st = d.Config.next in
-  if old == st then fp
+  if not (Config.changes cfg d) then fp
   else
-    let a = fp.a lxor proc_term_a p old lxor proc_term_a p st
-    and b = fp.b lxor proc_term_b p old lxor proc_term_b p st in
+    let p = d.Config.pid in
+    let old = Config.pstate cfg p in
+    let a =
+      fp.a lxor proc_term_a p old
+      lxor Keyhash.token_a Keyhash.seed_a p d.Config.lka
+    and b =
+      fp.b lxor proc_term_b p old
+      lxor Keyhash.token_b Keyhash.seed_b p d.Config.lkb
+    in
     let r = d.Config.commit_reg and v = d.Config.commit_value in
     let a, b =
       if r = Config.no_reg then (a, b)
@@ -89,7 +95,7 @@ let step fp (cfg : Config.t) (d : Config.delta) =
         ( a lxor Config.Mem.commit_xor_a cfg.Config.mem r v,
           b lxor Config.Mem.commit_xor_b cfg.Config.mem r v )
     in
-    match (cfg.Config.store, d.Config.new_store) with
+    match (cfg.Config.store, Config.next_store d) with
     | Some s, Some s' ->
         {
           a = a lxor Memsim.Modlog.lane_a s lxor Memsim.Modlog.lane_a s';
@@ -125,7 +131,7 @@ let budget_term cfg =
     [t = budget_term cfg] — only the stepped process's token changes. *)
 let budget_step t (cfg : Config.t) (d : Config.delta) =
   let p = d.Config.pid in
-  let wb = (Config.pstate cfg p).Config.wb and wb' = d.Config.next.Config.wb in
+  let wb = (Config.pstate cfg p).Config.wb and wb' = Config.next_wb cfg d in
   if wb == wb' then t
   else
     {

@@ -199,4 +199,4 @@ let ample_candidates ?bound cfg : Pid.t list =
     mask a monitor violation, so such steps are treated as visible and
     the reduction falls back to full expansion. *)
 let invisible_after (d : Config.delta) =
-  not (Program.at_label d.Config.next.Config.prog)
+  not (Program.at_label d.Config.prog)

@@ -36,6 +36,17 @@
 
 let default_fanout = 64
 
+(* Memo-table lookups: top-level and raising on a miss, so a hit — the
+   per-step case — allocates neither a closure over the key nor an
+   option. *)
+let rec assoc_int v = function
+  | [] -> raise Not_found
+  | (v', t) :: tl -> if Int.equal v v' then t else assoc_int v tl
+
+let rec assoc_list vs = function
+  | [] -> raise Not_found
+  | (vs', t) :: tl -> if List.equal Int.equal vs vs' then t else assoc_list vs tl
+
 (* Memo a [unit -> t] continuation: one cell. *)
 let rec memo_unit ~fanout (k : unit -> Program.t) : unit -> Program.t =
   let cell = Atomic.make None in
@@ -54,21 +65,17 @@ let rec memo_unit ~fanout (k : unit -> Program.t) : unit -> Program.t =
 and memo_int ~fanout (k : int -> Program.t) : int -> Program.t =
   let cell = Atomic.make [] in
   fun v ->
-    let rec find = function
-      | [] -> None
-      | (v', t) :: tl -> if Int.equal v v' then Some t else find tl
-    in
     let l = Atomic.get cell in
-    match find l with
-    | Some t -> t
-    | None ->
+    match assoc_int v l with
+    | t -> t
+    | exception Not_found -> (
         if List.length l >= fanout then k v
         else
           let t = share ~fanout (k v) in
           let l' = Atomic.get cell in
-          (match find l' with
-          | Some t' -> t'
-          | None ->
+          match assoc_int v l' with
+          | t' -> t'
+          | exception Not_found ->
               ignore (Atomic.compare_and_set cell l' ((v, t) :: l'));
               t)
 
@@ -81,22 +88,17 @@ and memo_bool ~fanout (k : bool -> Program.t) : bool -> Program.t =
 and memo_list ~fanout (k : int list -> Program.t) : int list -> Program.t =
   let cell = Atomic.make [] in
   fun vs ->
-    let rec find = function
-      | [] -> None
-      | (vs', t) :: tl ->
-          if List.equal Int.equal vs vs' then Some t else find tl
-    in
     let l = Atomic.get cell in
-    match find l with
-    | Some t -> t
-    | None ->
+    match assoc_list vs l with
+    | t -> t
+    | exception Not_found -> (
         if List.length l >= fanout then k vs
         else
           let t = share ~fanout (k vs) in
           let l' = Atomic.get cell in
-          (match find l' with
-          | Some t' -> t'
-          | None ->
+          match assoc_list vs l' with
+          | t' -> t'
+          | exception Not_found ->
               ignore (Atomic.compare_and_set cell l' ((vs, t) :: l'));
               t)
 

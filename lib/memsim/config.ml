@@ -10,17 +10,31 @@
 
     Hot-path bookkeeping: each process state carries two cached 63-bit
     hash {e lanes} ([lka]/[lkb]) digesting exactly its state-key
-    components (see {!Statekey}), refreshed in O(|wb| + 1) by
-    {!set_pstate}; the observation log additionally keeps rolling lanes
-    so appending an observation is O(1) however long the log grows.
-    Committed memory is an int-array-backed {!Mem} value with xor-
-    composable (Zobrist) lanes of its own. Because the configuration is
-    persistent, an execution step refreshes the lanes of the {e one}
-    dirtied process while every other process shares its previous,
-    already-hashed state — this is the incremental-state-key contract
-    the model checker's fingerprinting builds on. *)
+    components (see {!Statekey}), refreshed in O(|wb| + 1); the
+    observation log additionally keeps rolling lanes so appending an
+    observation is O(1) however long the log grows. Committed memory is
+    an int-array-backed {!Mem} value with xor-composable (Zobrist) lanes
+    of its own. Because the configuration is persistent, an execution
+    step refreshes the lanes of the {e one} dirtied process while every
+    other process shares its previous, already-hashed state — this is
+    the incremental-state-key contract the model checker's
+    fingerprinting builds on.
+
+    Stepping into scratch: an element's effect is written into a
+    mutable {!delta} — the step list plus exactly what the state key
+    and the monitors read (the stepped process's program, buffer,
+    views, last read, op count, rolled observation lanes and refreshed
+    local lanes, the commit and the store) — and no process state is
+    built. {!apply} builds the successor state from the old one by
+    folding the step list: the observation log, the CC cache and the
+    counters ({!Metrics.charge}) all follow from the steps. A delta is
+    owned by one stepping loop and valid until its next step; only
+    {!apply} copies it out. *)
 
 module Int_set = Set.Make (Int)
+
+(* [-1]: no register — no commit, or a last step that was no read. *)
+let no_reg = -1
 
 (** Per-process CC cache: which values the process has written to, or
     read from, each register. Consulted on every read step (the
@@ -186,10 +200,12 @@ type pstate = {
       (** CC cache: values this process has written to, or read from,
           each register. A read of [r] returning a known value is a
           cache hit (the paper's read-locality rule). *)
-  last_read : (Reg.t * int) option;
-      (** last step was a read of this register returning this value;
-          used by spin detection (a repeat read of an unchanged register
-          is a semantic self-loop). Reset by any other step. *)
+  lr_reg : Reg.t;
+      (** the last step was a read of [lr_reg] returning [lr_value]
+          ({!no_reg}: it was not a read); used by spin detection (a
+          repeat read of an unchanged register is a semantic
+          self-loop). Reset by any other step. *)
+  lr_value : int;
   obs : int list;
       (** reversed log of every value this process has observed (read
           results; cas reads and outcomes). Programs are deterministic,
@@ -218,22 +234,21 @@ type pstate = {
           to its message. *)
   mutable lka : int;
       (** cached lane [a] over this process's full state-key component
-          (ops, last_read, final value, wb contents, obs); refreshed by
-          {!set_pstate}, so any pstate stored in a configuration is
-          consistent. Hand-built pstates may carry stale lanes until
-          they pass through {!set_pstate}/{!delta}. Mutable purely so
-          {!refresh_lanes} can fill the lanes of a {e freshly built,
-          not yet shared} record without copying it again — every
-          writer owns the record it writes (and the fields are
-          immediates, so no write barrier); pstates stored in a
-          configuration are never mutated. *)
+          (ops, last read, final value, wb contents, obs); copied from
+          the stepped delta or refreshed by {!set_pstate}, so any
+          pstate stored in a configuration is consistent. Hand-built
+          pstates may carry stale lanes until they pass through
+          {!set_pstate}. Mutable purely so {!refresh_lanes} can fill
+          the lanes of a {e freshly built, not yet shared} record
+          without copying it again — every writer owns the record it
+          writes (and the fields are immediates, so no write barrier);
+          pstates stored in a configuration are never mutated. *)
   mutable lkb : int;
-  mutable ctr : Metrics.counters;
+  ctr : Metrics.counters;
       (** this process's complexity counters. Stored here rather than
           in a separate per-configuration map so an execution step
           updates one map, not two; accounting only — never a state-key
-          component (see {!Statekey}). Mutable under the same
-          fresh-record-only discipline as the lanes. *)
+          component (see {!Statekey}). *)
 }
 
 type t = {
@@ -277,49 +292,57 @@ type t = {
 let wb_lane_a h (e : Wbuf.entry) = Keyhash.mix_a (Keyhash.mix_a h e.reg) e.value
 let wb_lane_b h (e : Wbuf.entry) = Keyhash.mix_b (Keyhash.mix_b h e.reg) e.value
 
-(* Refresh the cached local-state lanes from the other fields. The obs
-   component enters through its rolling lanes, so this is O(|wb| + 1)
-   regardless of how long the observation log is. *)
+(* The cached local-state lanes over their components — the pstate's
+   and the scratch delta's. The obs component enters through its
+   rolling lanes, so this is O(|wb| + 1) regardless of how long the
+   observation log is. Straight-line accumulation (no closure, no refs)
+   of exactly the historical feed sequence — byte-identical lanes. The
+   view component is guarded so write-buffer states (both views always
+   empty) keep the lanes of the pre-view-backend key. *)
+let lane_a ~ops ~lr_reg ~lr_value ~prog ~wb ~obs_len ~obs_ha ~view ~rel =
+  let a = Keyhash.mix_a Keyhash.seed_a ops in
+  let a =
+    if lr_reg = no_reg then Keyhash.mix_a a 0
+    else Keyhash.mix_a (Keyhash.mix_a (Keyhash.mix_a a 1) lr_reg) lr_value
+  in
+  let a =
+    match (prog : Program.t) with
+    | Done v -> Keyhash.mix_a (Keyhash.mix_a a 1) v
+    | _ -> Keyhash.mix_a a 0
+  in
+  let a = Keyhash.mix_a a (Wbuf.size wb) in
+  let a = if Wbuf.is_empty wb then a else Wbuf.fold wb_lane_a a wb in
+  let a = Keyhash.mix_a (Keyhash.mix_a a obs_len) obs_ha in
+  if View.is_empty view && View.is_empty rel then a
+  else Keyhash.mix_a (Keyhash.mix_a a (View.digest_a view)) (View.digest_a rel)
+
+let lane_b ~ops ~lr_reg ~lr_value ~prog ~wb ~obs_len ~obs_hb ~view ~rel =
+  let b = Keyhash.mix_b Keyhash.seed_b ops in
+  let b =
+    if lr_reg = no_reg then Keyhash.mix_b b 0
+    else Keyhash.mix_b (Keyhash.mix_b (Keyhash.mix_b b 1) lr_reg) lr_value
+  in
+  let b =
+    match (prog : Program.t) with
+    | Done v -> Keyhash.mix_b (Keyhash.mix_b b 1) v
+    | _ -> Keyhash.mix_b b 0
+  in
+  let b = Keyhash.mix_b b (Wbuf.size wb) in
+  let b = if Wbuf.is_empty wb then b else Wbuf.fold wb_lane_b b wb in
+  let b = Keyhash.mix_b (Keyhash.mix_b b obs_len) obs_hb in
+  if View.is_empty view && View.is_empty rel then b
+  else Keyhash.mix_b (Keyhash.mix_b b (View.digest_b view)) (View.digest_b rel)
+
+(* Refresh a fresh pstate's cached lanes from its other fields. *)
 let refresh_lanes st =
-  (* straight-line accumulation (no closure, no refs) of exactly the
-     historical feed sequence — byte-identical lanes *)
-  let a = Keyhash.mix_a Keyhash.seed_a st.ops
-  and b = Keyhash.mix_b Keyhash.seed_b st.ops in
-  let a, b =
-    match st.last_read with
-    | None -> (Keyhash.mix_a a 0, Keyhash.mix_b b 0)
-    | Some (r, v) ->
-        ( Keyhash.mix_a (Keyhash.mix_a (Keyhash.mix_a a 1) r) v,
-          Keyhash.mix_b (Keyhash.mix_b (Keyhash.mix_b b 1) r) v )
-  in
-  let a, b =
-    match st.prog with
-    | Program.Done v ->
-        (Keyhash.mix_a (Keyhash.mix_a a 1) v, Keyhash.mix_b (Keyhash.mix_b b 1) v)
-    | _ -> (Keyhash.mix_a a 0, Keyhash.mix_b b 0)
-  in
-  let a = Keyhash.mix_a a (Wbuf.size st.wb)
-  and b = Keyhash.mix_b b (Wbuf.size st.wb) in
-  let a, b =
-    if Wbuf.is_empty st.wb then (a, b)
-    else (Wbuf.fold wb_lane_a a st.wb, Wbuf.fold wb_lane_b b st.wb)
-  in
-  let a = Keyhash.mix_a a st.obs_len and b = Keyhash.mix_b b st.obs_len in
-  let la = Keyhash.mix_a a st.obs_ha and lb = Keyhash.mix_b b st.obs_hb in
-  (* view component, guarded so write-buffer pstates (both views always
-     empty) keep byte-identical lanes to the pre-view-backend key *)
-  if View.is_empty st.view && View.is_empty st.rel then begin
-    st.lka <- la;
-    st.lkb <- lb
-  end
-  else begin
-    st.lka <-
-      Keyhash.mix_a (Keyhash.mix_a la (View.digest_a st.view))
-        (View.digest_a st.rel);
-    st.lkb <-
-      Keyhash.mix_b (Keyhash.mix_b lb (View.digest_b st.view))
-        (View.digest_b st.rel)
-  end;
+  st.lka <-
+    lane_a ~ops:st.ops ~lr_reg:st.lr_reg ~lr_value:st.lr_value ~prog:st.prog
+      ~wb:st.wb ~obs_len:st.obs_len ~obs_ha:st.obs_ha ~view:st.view
+      ~rel:st.rel;
+  st.lkb <-
+    lane_b ~ops:st.ops ~lr_reg:st.lr_reg ~lr_value:st.lr_value ~prog:st.prog
+      ~wb:st.wb ~obs_len:st.obs_len ~obs_hb:st.obs_hb ~view:st.view
+      ~rel:st.rel;
   st
 
 (** Recompute every cached lane from scratch — obs rolling lanes from
@@ -353,7 +376,8 @@ let initial_pstate prog =
       skipped = Program.post_labels prog;
       wb = Wbuf.empty;
       known = Known.empty;
-      last_read = None;
+      lr_reg = no_reg;
+      lr_value = 0;
       obs = [];
       ops = 0;
       obs_len = 0;
@@ -427,89 +451,221 @@ let with_proc t p st =
   procs
 
 let set_pstate t p st =
-  (* cold-path installer for hand-built pstates: recompute the cached
-     post-label program, so callers may update [prog] alone (the hot
-     path, {!delta}, trusts the executor to maintain [skipped]) *)
-  let st =
-    if st.skipped == st.prog && not (Program.at_label st.prog) then st
-    else { st with skipped = Program.post_labels st.prog }
-  in
+  (* cold-path installer for hand-built pstates: a fresh copy with the
+     cached post-label program and the lanes recomputed, so callers may
+     update [prog] alone and never see their record mutated *)
+  let st = { st with skipped = Program.post_labels st.prog } in
   {
     t with
     procs = with_proc t p (refresh_lanes st);
     label_mask = mask_with t.label_mask p st.prog;
   }
 
-(** One schedule element's effect, before it is installed: the steps
-    it produced, the process [pid] it moved and that process's
-    successor state, the value it committed (if any) and the
-    successor modification-log store (view-based models, when the
-    element touched it). Every element touches at most one process, so
-    this is all a successor differs in: the model checker keys a child
-    from its delta and builds the configuration ({!apply}) only for
-    children the visited set has not seen. *)
+(** One schedule element's effect, before it is installed, written into
+    a reusable scratch record: the steps it produced, the process [pid]
+    it moved, and of that process's successor state exactly what the
+    state key and the monitors read — the program, buffer, views, last
+    read, op count, rolled observation lanes and refreshed local lanes
+    — plus the commit and the successor modification-log store. Every
+    element touches at most one process, so this is all a successor
+    differs in; the rest of the successor state (observation log, CC
+    cache, counters) follows from the steps, and {!apply} builds it
+    only for the children the visited set has not seen. *)
 type delta = {
-  steps : Step.t list;
-  pid : Pid.t;
-  next : pstate;
-      (** [pid]'s successor state, lanes refreshed and counters set —
-          physically [pid]'s current state iff the element is a no-op,
-          a fresh record otherwise *)
-  commit_reg : Reg.t;  (** the register committed to, or {!no_reg} *)
-  commit_value : int;
-  new_store : Modlog.t option;  (** [None]: the store is unchanged *)
+  mutable steps : Step.t list;
+  mutable pid : Pid.t;
+  mutable prog : Program.t;
+  mutable stepped : int;
+      (* which of [wb], [view], [rel] and [new_store] the step replaced
+         (one bit each); a field whose bit is clear means nothing — the
+         stepped process's own component stands (see {!next_wb}) *)
+  mutable wb : Wbuf.t;
+  mutable view : View.t;
+  mutable rel : View.t;
+  mutable lr_reg : Reg.t;
+  mutable lr_value : int;
+  mutable ops : int;
+  mutable obs_len : int;
+  mutable obs_ha : int;
+  mutable obs_hb : int;
+  mutable lka : int;
+  mutable lkb : int;
+  mutable commit_reg : Reg.t;
+  mutable commit_value : int;
+  mutable new_store : Modlog.t option;
 }
 
-let no_reg = -1
-
-(** The no-op delta of [p]: nothing produced, nothing changed. *)
-let idle t p =
+(** A fresh scratch delta; its contents mean nothing until {!load}. *)
+let scratch () =
   {
     steps = [];
-    pid = p;
-    next = pstate t p;
+    pid = 0;
+    prog = Program.Done 0;
+    stepped = 0;
+    wb = Wbuf.empty;
+    view = View.empty;
+    rel = View.empty;
+    lr_reg = no_reg;
+    lr_value = 0;
+    ops = 0;
+    obs_len = 0;
+    obs_ha = 0;
+    obs_hb = 0;
+    lka = 0;
+    lkb = 0;
     commit_reg = no_reg;
     commit_value = 0;
     new_store = None;
   }
 
-(** [delta ?store steps p st ctr]: the delta of a step of [p] to [st],
-    which the caller has just built (the executor maintains
-    [st.skipped]): its counters are set to the prebuilt [ctr] and its
-    lanes refreshed in place, since the record is not yet shared.
-    [commit_delta] additionally commits [v] to [r]. *)
-let commit_delta ?store steps p st ctr r v =
-  st.ctr <- ctr;
-  {
-    steps;
-    pid = p;
-    next = refresh_lanes st;
-    commit_reg = r;
-    commit_value = v;
-    new_store = store;
-  }
+(** [load d p st]: [d] becomes [p]'s state [st] with nothing changed,
+    except for its program and steps, which the stepper sets. The
+    buffer, views and store are not copied: the scratch record is
+    long-lived, so a pointer written into it goes through the write
+    barrier, and most steps keep most of them. *)
+let load d p (st : pstate) =
+  d.pid <- p;
+  d.stepped <- 0;
+  d.lr_reg <- st.lr_reg;
+  d.lr_value <- st.lr_value;
+  d.ops <- st.ops;
+  d.obs_len <- st.obs_len;
+  d.obs_ha <- st.obs_ha;
+  d.obs_hb <- st.obs_hb;
+  d.lka <- st.lka;
+  d.lkb <- st.lkb;
+  d.commit_reg <- no_reg;
+  d.commit_value <- 0
 
-let delta ?store steps p st ctr = commit_delta ?store steps p st ctr no_reg 0
+(** [idle d p st]: [d] becomes the no-op delta of [p] at state [st]. *)
+let idle d p (st : pstate) =
+  load d p st;
+  d.prog <- st.prog;
+  d.steps <- []
 
-(** The delta with [pid]'s successor state replaced by [st] (fresh,
-    lanes refreshed here) — label settling on an uninstalled child. *)
-let with_next d st = { d with next = refresh_lanes st }
+let wb_bit = 1
+let view_bit = 2
+let rel_bit = 4
+let store_bit = 8
 
-(** Does installing the delta change the configuration? *)
-let changes t d = d.next != t.procs.(d.pid)
+(* The successor buffer and views of [d]'s process, whose state was
+   [st]. *)
+let wb_of d (st : pstate) = if d.stepped land wb_bit <> 0 then d.wb else st.wb
+let view_of d (st : pstate) = if d.stepped land view_bit <> 0 then d.view else st.view
+let rel_of d (st : pstate) = if d.stepped land rel_bit <> 0 then d.rel else st.rel
+
+(** The stepped process's successor buffer, and the successor store
+    ([None]: unchanged). *)
+let next_wb t d = wb_of d t.procs.(d.pid)
+
+let next_store d = if d.stepped land store_bit <> 0 then d.new_store else None
+
+(** Replace the stepped process's buffer or views, unless the step kept
+    them, or the store. *)
+let set_wb d (st : pstate) wb =
+  if wb != st.wb then begin
+    d.wb <- wb;
+    d.stepped <- d.stepped lor wb_bit
+  end
+
+let set_view d (st : pstate) view =
+  if view != st.view then begin
+    d.view <- view;
+    d.stepped <- d.stepped lor view_bit
+  end
+
+let set_rel d (st : pstate) rel =
+  if rel != st.rel then begin
+    d.rel <- rel;
+    d.stepped <- d.stepped lor rel_bit
+  end
+
+let set_store d store =
+  d.new_store <- Some store;
+  d.stepped <- d.stepped lor store_bit
+
+(** Recompute the delta's local lanes from its other fields. *)
+let refresh d st =
+  let wb = wb_of d st and view = view_of d st and rel = rel_of d st in
+  d.lka <-
+    lane_a ~ops:d.ops ~lr_reg:d.lr_reg ~lr_value:d.lr_value ~prog:d.prog ~wb
+      ~obs_len:d.obs_len ~obs_ha:d.obs_ha ~view ~rel;
+  d.lkb <-
+    lane_b ~ops:d.ops ~lr_reg:d.lr_reg ~lr_value:d.lr_value ~prog:d.prog ~wb
+      ~obs_len:d.obs_len ~obs_hb:d.obs_hb ~view ~rel
+
+(** Append one observed value to the delta's rolling obs lanes. *)
+let observe d v =
+  d.obs_len <- d.obs_len + 1;
+  d.obs_ha <- Keyhash.mix_a d.obs_ha v;
+  d.obs_hb <- Keyhash.mix_b d.obs_hb v
+
+(** Does installing the delta change the configuration? Every step, and
+    every consumed label, leaves a step (or note) behind; settling an
+    idle process's labels changes only its program. *)
+let changes t d = d.steps != [] || d.prog != t.procs.(d.pid).prog
+
+(* The known-cache with [v] recorded at [r] — physically the same value
+   when already known. *)
+let learn known r v = if Known.mem known r v then known else Known.add known r v
+
+(* The successor state of [d]'s process, whose state was [old]: the
+   delta's fields, plus what
+   follows from its steps, folded over the old state — observations
+   (read values; a cas's read and outcome; an RMW's read), the CC cache
+   (values read, written, found or swapped in) and the counters. *)
+let rec absorb old d obs known ctr = function
+  | [] ->
+      {
+        prog = d.prog;
+        skipped =
+          (if Program.at_label d.prog then Program.post_labels d.prog
+           else d.prog);
+        wb = wb_of d old;
+        known;
+        lr_reg = d.lr_reg;
+        lr_value = d.lr_value;
+        obs;
+        ops = d.ops;
+        obs_len = d.obs_len;
+        obs_ha = d.obs_ha;
+        obs_hb = d.obs_hb;
+        view = view_of d old;
+        rel = rel_of d old;
+        lka = d.lka;
+        lkb = d.lkb;
+        ctr;
+      }
+  | s :: rest -> (
+      let ctr = Metrics.charge s ctr in
+      match s with
+      | Step.Read { reg; value; _ } ->
+          absorb old d (value :: obs) (learn known reg value) ctr rest
+      | Write { reg; value; _ } -> absorb old d obs (learn known reg value) ctr rest
+      | Cas { reg; read; success; update; _ } ->
+          let known = learn known reg read in
+          let known = if success then learn known reg update else known in
+          absorb old d ((if success then 1 else 0) :: read :: obs) known ctr rest
+      | Rmw { reg; read; wrote; _ } ->
+          absorb old d (read :: obs) (learn (learn known reg read) reg wrote) ctr
+            rest
+      | Commit _ | Fence _ | Return _ | Note _ -> absorb old d obs known ctr rest)
 
 (** [apply t d] installs a delta in a single pass: the successor state
-    (copy-on-write slot), the label mask, the commit (memory and last
-    committer) and the store. One configuration-record build; the
-    identity on a no-op. *)
+    (built here, copy-on-write slot), the label mask, the commit
+    (memory and last committer) and the store. One configuration-record
+    build; the identity on a no-op. The successor shares nothing
+    mutable with [d], which is free for the next step afterwards. *)
 let apply t d =
   if not (changes t d) then t
   else
-    let p = d.pid and st = d.next in
+    let p = d.pid in
+    let old = t.procs.(p) in
+    let st = absorb old d old.obs old.known old.ctr d.steps in
     let procs = with_proc t p st in
     let label_mask = mask_with t.label_mask p st.prog in
     if d.commit_reg = no_reg then
-      match d.new_store with
+      match next_store d with
       | None -> { t with procs; label_mask }
       | Some _ as store -> { t with procs; label_mask; store }
     else
@@ -517,7 +673,7 @@ let apply t d =
       let last_committer = Array.copy t.last_committer in
       last_committer.(r) <- p;
       let mem = Mem.set t.mem r d.commit_value in
-      match d.new_store with
+      match next_store d with
       | None -> { t with procs; label_mask; mem; last_committer }
       | Some _ as store ->
           { t with procs; label_mask; mem; last_committer; store }
@@ -535,22 +691,22 @@ let store_exn t =
       Fmt.invalid_arg "Config.store_exn: %s is not view-based"
         (Memory_model.to_string t.model)
 
-let wbuf t p = (pstate t p).wb
-let program t p = (pstate t p).prog
+let wbuf t p = (pstate t p : pstate).wb
+let program t p = (pstate t p : pstate).prog
 
 (** [p]'s program with leading labels consumed — the cached
     [pstate.skipped], what every dispatch-side query should inspect. *)
-let skipped t p = (pstate t p).skipped
+let skipped t p = (pstate t p : pstate).skipped
 
 let next_kind t p = Program.next_kind (skipped t p)
-let is_final t p = Program.is_done (pstate t p).skipped
-let final_value t p = Program.final_value (pstate t p).skipped
+let is_final t p = Program.is_done (skipped t p)
+let final_value t p = Program.final_value (skipped t p)
 
 (** Number of processes in a final state — [NbFinal(C)] in the paper,
     which gates return steps in the decoder. *)
 let nb_final t =
   Array.fold_left
-    (fun acc st -> if Program.is_done st.prog then acc + 1 else acc)
+    (fun acc (st : pstate) -> if Program.is_done st.prog then acc + 1 else acc)
     0 t.procs
 
 let all_final t = nb_final t = nprocs t
@@ -566,7 +722,7 @@ let quiescent t =
   let rec go p =
     p >= n
     ||
-    let st = t.procs.(p) in
+    let (st : pstate) = t.procs.(p) in
     Program.is_done st.prog && Wbuf.is_empty st.wb && go (p + 1)
   in
   go 0
@@ -580,42 +736,22 @@ let quiescent t =
     engines fold the underlying flag bitsets into their keys
     themselves, see {!Wbuf.overtaken_bits}). *)
 let reorders_in_flight t =
-  Array.fold_left (fun acc st -> acc + Wbuf.overtaken st.wb) 0 t.procs
+  Array.fold_left (fun acc (st : pstate) -> acc + Wbuf.overtaken st.wb) 0 t.procs
 
 (** [reorders_in_flight (apply t d)] from [n = reorders_in_flight t],
     in O(1): only the stepped process's buffer changes. *)
 let reorders_after n t d =
-  n - Wbuf.overtaken t.procs.(d.pid).wb + Wbuf.overtaken d.next.wb
+  n - Wbuf.overtaken t.procs.(d.pid).wb + Wbuf.overtaken (next_wb t d)
 
-let known_values st r = Known.values st.known r
-
-(** The known-cache with [v] recorded at [r] — physically the same
-    value when already known. Exposed so the executor can fuse learning
-    into its single-allocation pstate updates. *)
-let[@inline] map_learn known r v =
-  if Known.mem known r v then known else Known.add known r v
-
-let learn st r v =
-  if Known.mem st.known r v then st
-  else { st with known = Known.add st.known r v }
+let known_values (st : pstate) r = Known.values st.known r
 
 (** Locality of a read of [r] by [p] (whose state is [st]) returning
     [v] from shared memory. The caller passes the pstate it already
     holds — the executor calls this once per read step. *)
-let read_locality t p st r v =
+let read_locality t p (st : pstate) r v =
   Step.locality
     ~dsm_local:(Layout.is_local t.layout p r)
     ~cc_local:(Known.mem st.known r v)
-
-(** Read locality fused with the CC-cache learn: one cache probe serves
-    both the [cc_local] membership test and the update. Returns the
-    interned locality and the learned cache — physically the same value
-    when [v] was already known (the common case, since [cc_local]
-    {e means} known). *)
-let read_learn t p st r v =
-  let cc_local = Known.mem st.known r v in
-  let known = if cc_local then st.known else Known.add st.known r v in
-  (Step.locality ~dsm_local:(Layout.is_local t.layout p r) ~cc_local, known)
 
 (** Locality of a commit to [r] by [p]: local on the CC side iff [p] was
     the last process to commit to [r]. *)
@@ -623,20 +759,6 @@ let commit_locality t p r =
   Step.locality
     ~dsm_local:(Layout.is_local t.layout p r)
     ~cc_local:(Pid.equal t.last_committer.(r) p)
-
-(* Counters are not key components, so the cached lanes stay valid:
-   update the pstate directly, no refresh. *)
-let bump p f t =
-  let st = pstate t p in
-  { t with procs = with_proc t p { st with ctr = f st.ctr } }
-
-let charge_rmr (loc : Step.locality) (c : Metrics.counters) =
-  {
-    c with
-    Metrics.rmr = (c.Metrics.rmr + if Step.is_rmr loc then 1 else 0);
-    rmr_dsm = (c.Metrics.rmr_dsm + if loc.Step.dsm_local then 0 else 1);
-    rmr_cc = (c.Metrics.rmr_cc + if loc.Step.cc_local then 0 else 1);
-  }
 
 let pp_mem ppf t =
   let first = ref true in
@@ -655,7 +777,7 @@ let pp ppf t =
   | Some s -> Fmt.pf ppf "store=%a@," Modlog.pp s
   | None -> ());
   Array.iteri
-    (fun p st ->
+    (fun p (st : pstate) ->
       if not (View.is_empty st.view) then
         Fmt.pf ppf "p%a: view=%a rel=%a@," Pid.pp p View.pp st.view View.pp
           st.rel;

@@ -4,7 +4,14 @@
     a configuration doubles as a free snapshot for speculative
     execution. Process states and committed memory carry cached hash
     lanes over their state-key components, refreshed incrementally —
-    see the implementation header for the contract. *)
+    see the implementation header for the contract.
+
+    An element is stepped into a reusable, mutable {!delta} (scratch):
+    the steps plus what the key and the monitors read, and no process
+    state. A delta is valid until its owner's next step into it; only
+    {!apply}, which runs for new states alone, copies it out — it
+    builds the successor state by folding the step list over the old
+    one. *)
 
 module Int_set : Set.S with type elt = int
 
@@ -20,8 +27,7 @@ module Known : sig
   (** Has the process written/read value [v] at [r]? *)
   val mem : t -> Reg.t -> int -> bool
 
-  (** The cache with [v] recorded at [r] (no presence check — callers
-      go through {!val-map_learn}). *)
+  (** The cache with [v] recorded at [r] (no presence check). *)
   val add : t -> Reg.t -> int -> t
 
   (** The recorded values at [r] as a plain set. *)
@@ -84,9 +90,10 @@ type pstate = {
   known : Known.t;
       (** CC cache: values this process has written to, or read from,
           each register (the paper's read-locality rule) *)
-  last_read : (Reg.t * int) option;
-      (** gate for spin blocking: last step was a read of this register
-          returning this value *)
+  lr_reg : Reg.t;
+      (** gate for spin blocking: the last step was a read of [lr_reg]
+          returning [lr_value]; {!no_reg} when it was not a read *)
+  lr_value : int;
   obs : int list;
       (** reversed log of observed values; programs are deterministic,
           so together with [ops] this pins the local state — the model
@@ -104,15 +111,14 @@ type pstate = {
           at its last fence) — the base plain writes attach *)
   mutable lka : int;
       (** cached lane over the full local key component; consistent for
-          any pstate stored in a configuration (refreshed by
-          {!set_pstate}/{!delta}). Mutable so the refresh can fill a
-          freshly built record in place; pstates stored in a
+          any pstate stored in a configuration (copied from the delta by
+          {!apply}, refreshed by {!set_pstate}). Mutable so the refresh
+          can fill a freshly built record in place; pstates stored in a
           configuration are never mutated. *)
   mutable lkb : int;
-  mutable ctr : Metrics.counters;
+  ctr : Metrics.counters;
       (** this process's complexity counters; accounting only, never a
-          state-key component. Same fresh-record-only mutation
-          discipline as the lanes. *)
+          state-key component *)
 }
 
 type t = {
@@ -162,57 +168,96 @@ val metrics : t -> Metrics.t
 val nprocs : t -> int
 val pstate : t -> Pid.t -> pstate
 
-(** Install a process state, refreshing its cached lanes. *)
+(** Install a copy of a process state, recomputing its post-label
+    program and its cached lanes. *)
 val set_pstate : t -> Pid.t -> pstate -> t
 
-(** One schedule element's effect, before it is installed: the steps
-    it produced, the one process it moved with that process's successor
-    state, the value it committed (if any) and the successor
-    modification-log store (view-based models, when the element touched
-    it). [Exec.step] builds one; {!apply} installs it. The model
+(** One schedule element's effect, before it is installed, in a
+    reusable scratch record: the steps it produced, the one process
+    [pid] it moved, and of that process's successor state what the
+    state key and the monitors read — program, buffer, views, last
+    read, op count, rolled observation lanes and refreshed local lanes
+    [lka]/[lkb] — plus the commit and the successor modification-log
+    store. [Exec.step_into] writes one; {!apply} installs it. The model
     checker keys a child from its delta and builds the configuration
-    only for children its visited set has not seen. *)
+    only for children its visited set has not seen.
+
+    Ownership: a delta belongs to one stepping loop (the engine keeps
+    one per worker) and is valid until that loop's next step into it;
+    {!apply} is the only copy-out. *)
 type delta = {
-  steps : Step.t list;
-  pid : Pid.t;
-  next : pstate;
-      (** [pid]'s successor state, lanes refreshed and counters set —
-          physically [pid]'s current state iff the element is a no-op,
-          a fresh, unshared record otherwise *)
-  commit_reg : Reg.t;  (** the register committed to, or {!no_reg} *)
-  commit_value : int;
-  new_store : Modlog.t option;  (** [None]: the store is unchanged *)
+  mutable steps : Step.t list;
+  mutable pid : Pid.t;
+  mutable prog : Program.t;
+  mutable stepped : int;
+      (** which of [wb], [view], [rel] and [new_store] the step replaced,
+          one bit each; a field whose bit is clear means nothing and the
+          process's own component stands ({!next_wb}, {!next_store};
+          {!apply} resolves them all) *)
+  mutable wb : Wbuf.t;
+  mutable view : View.t;
+  mutable rel : View.t;
+  mutable lr_reg : Reg.t;  (** {!no_reg}: the step was no read *)
+  mutable lr_value : int;
+  mutable ops : int;
+  mutable obs_len : int;
+  mutable obs_ha : int;
+  mutable obs_hb : int;
+  mutable lka : int;
+  mutable lkb : int;
+  mutable commit_reg : Reg.t;  (** the register committed to, or {!no_reg} *)
+  mutable commit_value : int;
+  mutable new_store : Modlog.t option;
 }
 
-(** [-1]: no commit. *)
+(** [-1]: no register (no commit; a last step that was no read). *)
 val no_reg : Reg.t
 
-(** The no-op delta of a process: nothing produced, nothing changed. *)
-val idle : t -> Pid.t -> delta
+(** A fresh scratch delta, meaningless until {!load}ed. *)
+val scratch : unit -> delta
 
-(** [delta ?store steps p st ctr]: the delta of a step of [p] to the
-    caller's freshly built [st] (whose [skipped] the caller maintains):
-    sets its counters to [ctr] and refreshes its lanes in place.
-    [commit_delta ... r v] also commits [v] to [r]. *)
-val delta :
-  ?store:Modlog.t -> Step.t list -> Pid.t -> pstate -> Metrics.counters ->
-  delta
+(** [load d p st]: make [d] [p]'s state [st], unchanged — all but the
+    program and the steps, which the stepper sets ([Exec.step_into]);
+    the buffer, views and store stand as [st]'s until a step replaces
+    them. *)
+val load : delta -> Pid.t -> pstate -> unit
 
-val commit_delta :
-  ?store:Modlog.t -> Step.t list -> Pid.t -> pstate -> Metrics.counters ->
-  Reg.t -> int -> delta
+(** [idle d p st]: make [d] the no-op delta of [p] at state [st]. *)
+val idle : delta -> Pid.t -> pstate -> unit
 
-(** The delta with its successor state replaced by a fresh [st], whose
-    lanes this refreshes. *)
-val with_next : delta -> pstate -> delta
+(** The stepped process's successor buffer — the delta's, or the one it
+    had in the configuration stepped from — and the successor store
+    ([None]: unchanged). *)
+val next_wb : t -> delta -> Wbuf.t
+
+val next_store : delta -> Modlog.t option
+
+(** [set_wb d st wb]: the step leaves [wb] — recorded only when it is
+    not [st]'s own buffer; likewise the views. [set_store] records a
+    successor store. *)
+val set_wb : delta -> pstate -> Wbuf.t -> unit
+
+val set_view : delta -> pstate -> View.t -> unit
+val set_rel : delta -> pstate -> View.t -> unit
+val set_store : delta -> Modlog.t -> unit
+
+(** [refresh d st]: recompute the delta's [lka]/[lkb] from its other
+    fields; [st] is the stepped process's state before the step. *)
+val refresh : delta -> pstate -> unit
+
+(** Append an observed value to the delta's rolling obs lanes. *)
+val observe : delta -> int -> unit
 
 (** Does installing the delta change the configuration (is the element
     not a no-op)? *)
 val changes : t -> delta -> bool
 
 (** Install a delta in one configuration-record build: the successor
-    state, the label mask, the commit (memory and last committer) and
-    the store. The identity on a no-op. *)
+    state — the delta's fields, plus the observation log, CC cache and
+    counters folded from its steps over the stepped process's old state
+    ({!Metrics.charge} per step) — the label mask, the commit (memory
+    and last committer) and the store. The identity on a no-op. The
+    result shares nothing mutable with the delta. *)
 val apply : t -> delta -> t
 
 (** Recompute every cached lane of a pstate from scratch (obs rolling
@@ -265,34 +310,13 @@ val reorders_after : int -> t -> delta -> int
 
 val known_values : pstate -> Reg.t -> Int_set.t
 
-(** The known-cache with [v] recorded at [r] — physically the same
-    value when already known. For fusing learning into
-    single-allocation pstate updates; callers outside the executor want
-    {!learn}. *)
-val map_learn : Known.t -> Reg.t -> int -> Known.t
-
-(** Record that the process has observed/produced value [v] at [r]. *)
-val learn : pstate -> Reg.t -> int -> pstate
-
 (** Locality of a read of [r] by [p] (whose state is [st]) returning
     [v] from shared memory; the caller passes the pstate it already
     holds. *)
 val read_locality : t -> Pid.t -> pstate -> Reg.t -> int -> Step.locality
 
-(** Read locality fused with the CC-cache learn: one cache probe serves
-    both. The returned cache is physically the input when [v] was
-    already known at [r]. *)
-val read_learn :
-  t -> Pid.t -> pstate -> Reg.t -> int -> Step.locality * Known.t
-
 (** Locality of a commit to [r] by [p]. *)
 val commit_locality : t -> Pid.t -> Reg.t -> Step.locality
-
-(** Update process [p]'s metric counters. *)
-val bump : Pid.t -> (Metrics.counters -> Metrics.counters) -> t -> t
-
-(** Charge the RMR counters according to a step's locality. *)
-val charge_rmr : Step.locality -> Metrics.counters -> Metrics.counters
 
 val pp_mem : t Fmt.t
 val pp : t Fmt.t

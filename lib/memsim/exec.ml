@@ -28,13 +28,17 @@
     surface as costless {!Step.Note}s.
 
     Every element touches at most one process's state and possibly
-    committed memory, so {!step} describes its effect as a
-    {!Config.delta} — the steps, that process's successor state, the
-    commit and the store — without building a configuration;
-    [exec_elt_d] is [Config.apply] of it and reports what changed
-    ({!dirty}), so callers can re-fingerprint only the changed
-    components. The model checker keys children from their deltas
-    and builds configurations only for new states. *)
+    committed memory, so {!step_into} writes its effect into a
+    reusable scratch {!Config.delta} — the steps, plus what the state
+    key and the monitors read of that process's successor state, the
+    commit and the store — and builds no configuration and no process
+    state. Every step below writes the delta's fields and returns its
+    step list; none counts, logs an observation or updates the CC
+    cache: [Config.apply] derives those from the steps, once, for the
+    children it installs. The model checker keys children from the
+    delta and installs only new states; [exec_elt_d] is [Config.apply]
+    of a fresh delta and reports what changed ({!dirty}), so callers
+    can re-fingerprint only the changed components. *)
 
 type elt = Pid.t * Reg.t option
 
@@ -51,108 +55,89 @@ let pp_elt ppf ((p, r) : elt) =
   | Some r -> Fmt.pf ppf "(p%a,%a)" Pid.pp p Reg.pp r
 
 (* Preallocated hot-path records: dirty reports are structurally
-   determined by (pid, mem-bit), and a store-forwarded read's locality
-   is always fully local — share one immutable record per case instead
-   of allocating per element. Initialized at module load (before any
-   domain spawns); read-only thereafter, so cross-domain sharing is
-   safe. *)
-let local_loc = Step.locality ~dsm_local:true ~cc_local:true
+   determined by (pid, mem-bit) — share one immutable record per case
+   instead of allocating per element. Initialized at module load
+   (before any domain spawns); read-only thereafter, so cross-domain
+   sharing is safe. *)
 let dirty_none = { proc = None; mem = false }
 let dirty_clean = Array.init 64 (fun p -> { proc = Some p; mem = false })
 let dirty_mem = Array.init 64 (fun p -> { proc = Some p; mem = true })
+
+let[@inline] b2i b = if b then 1 else 0
 
 (** The dirty report for process [p]; allocation-free for [p < 64]. *)
 let dirty_of p ~mem =
   if p < 64 then if mem then dirty_mem.(p) else dirty_clean.(p)
   else { proc = Some p; mem }
 
-let[@inline] b2i b = if b then 1 else 0
+(* Every step below writes into the caller's delta [d], already loaded
+   with [p]'s state [st] (all but the program and the steps), returns
+   its step list, and allocates only its steps and what the successor
+   state must hold anew (a buffer, a view, a store). *)
 
-(* Commit the pending write to [r] from [p]'s buffer ([st] is [p]'s
-   current state, passed so the dispatcher's lookup is reused).
-   [Wbuf.commit] marks entries older than the committed one as
-   overtaken — the write-write half of the reorder-budget accounting;
-   the flags are invisible to state keys and model semantics. *)
-let commit_write cfg p (st : Config.pstate) r =
-  match Wbuf.commit st.Config.wb r with
-  | None -> Fmt.invalid_arg "Exec.commit_write: no pending write to %d" r
-  | Some (v, wb') ->
-      let loc = Config.commit_locality cfg p r in
-      let c = st.Config.ctr in
-      let ctr =
-        {
-          c with
-          Metrics.commits = c.Metrics.commits + 1;
-          steps = c.Metrics.steps + 1;
-          rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-          rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-          rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-        }
-      in
-      Config.commit_delta
-        [ Step.Commit { p; reg = r; value = v; loc } ]
-        p
-        { st with Config.wb = wb'; last_read = None }
-        ctr r v
+(* An operation step's successor program: one op more, no last read. *)
+let advance (d : Config.delta) prog =
+  d.Config.prog <- prog;
+  d.Config.lr_reg <- Config.no_reg;
+  d.Config.ops <- d.Config.ops + 1
+
+let commit (d : Config.delta) r v =
+  d.Config.commit_reg <- r;
+  d.Config.commit_value <- v
+
+(* Commit the pending write to [r] from [p]'s buffer. [Wbuf.commit]
+   marks entries older than the committed one as overtaken — the
+   write-write half of the reorder-budget accounting; the flags are
+   invisible to state keys and model semantics. *)
+let commit_write cfg d p (st : Config.pstate) r =
+  let e = Wbuf.oldest_entry st.Config.wb r in
+  if e == Wbuf.no_entry then
+    Fmt.invalid_arg "Exec.commit_write: no pending write to %d" r;
+  let v = e.Wbuf.value in
+  let loc = Config.commit_locality cfg p r in
+  Config.set_wb d st (Wbuf.commit st.Config.wb r);
+  d.Config.lr_reg <- Config.no_reg;
+  commit d r v;
+  [ Step.Commit { p; reg = r; value = v; loc } ]
+
+(* [p]'s newest buffered entry for [r] under a buffered model — what a
+   read forwards — or (physically) [Wbuf.no_entry]. *)
+let forwarded cfg (st : Config.pstate) r =
+  if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r else Wbuf.no_entry
 
 (* The value a read of [r] by [p] would return right now: store
    forwarding from [p]'s own buffer under a buffered model, committed
    memory otherwise. No option or tuple allocated; read steps that also
-   need the forwarding flag probe [Wbuf.find_entry] inline. *)
+   need the forwarding flag probe {!forwarded} themselves. *)
 let visible_only cfg (st : Config.pstate) r =
-  if cfg.Config.buffered then begin
-    let e = Wbuf.find_entry st.Config.wb r in
-    if e != Wbuf.no_entry then e.Wbuf.value else Config.read_mem cfg r
-  end
-  else Config.read_mem cfg r
+  let e = forwarded cfg st r in
+  if e != Wbuf.no_entry then e.Wbuf.value else Config.read_mem cfg r
 
-(* Execute a read of [r] returning [v] served as [from_wbuf] tells
-   (the caller already resolved visibility, so the value is computed
-   once and the continuation applied at the call site — no per-step
-   closure). [prog] is the successor program to install; [wb] the
+(* Would a spinv round over [regs] replay the previous round [prev] —
+   does every register still show the value it read last time? The
+   blocked test, compared in place rather than on a built list. *)
+let rec same_round cfg st regs vs =
+  match (regs, vs) with
+  | [], [] -> true
+  | r :: regs, v :: vs -> visible_only cfg st r = v && same_round cfg st regs vs
+  | _ -> false
+
+let replays cfg st regs prev =
+  match prev with None -> false | Some vs -> same_round cfg st regs vs
+
+(* A read of [r] returning [v] served as [from_wbuf] tells (the caller
+   resolved visibility and applied the continuation). [wb] is the
    buffer to install (the caller's overtake-marked view of [st]'s). *)
-let read_step cfg p (st : Config.pstate) ~wb r v from_wbuf ~prog =
-  let loc, known =
-    if from_wbuf then (local_loc, Config.map_learn st.Config.known r v)
-    else Config.read_learn cfg p st r v
+let read_step cfg d p (st : Config.pstate) ~wb r v from_wbuf ~prog =
+  let loc =
+    if from_wbuf then Step.local else Config.read_locality cfg p st r v
   in
-  (* the record update, the observation-log append, the buffer install
-     and the CC-cache learn are fused into one allocation *)
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known;
-      wb;
-      last_read = Some (r, v);
-      ops = st.Config.ops + 1;
-      obs = v :: st.Config.obs;
-      obs_len = st.Config.obs_len + 1;
-      obs_ha = Keyhash.mix_a st.Config.obs_ha v;
-      obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    if from_wbuf then
-      {
-        c with
-        Metrics.reads = c.Metrics.reads + 1;
-        reads_from_wbuf = c.Metrics.reads_from_wbuf + 1;
-        steps = c.Metrics.steps + 1;
-      }
-    else
-      {
-        c with
-        Metrics.reads = c.Metrics.reads + 1;
-        steps = c.Metrics.steps + 1;
-        rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-        rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-        rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-      }
-  in
-  Config.delta [ Step.Read { p; reg = r; value = v; from_wbuf; loc } ] p st ctr
+  advance d prog;
+  Config.set_wb d st wb;
+  d.Config.lr_reg <- r;
+  d.Config.lr_value <- v;
+  Config.observe d v;
+  [ Step.Read { p; reg = r; value = v; from_wbuf; loc } ]
 
 (* Strong read-modify-write primitives (swap, faa): like cas, they act
    on committed memory behind an implicit barrier (the executor forces
@@ -161,38 +146,14 @@ let read_step cfg p (st : Config.pstate) ~wb r v from_wbuf ~prog =
    cas steps only, so swap/faa-based locks report honest censuses.
    [read] is the committed value (the caller already fetched it to
    build [prog], the successor program continuing on it). *)
-let rmw_op cfg p (st : Config.pstate) r ~op ~arg ~read ~prog =
+let rmw_op cfg d p (st : Config.pstate) r ~op ~arg ~read ~prog =
   assert (Wbuf.is_empty st.Config.wb);
   let wrote = match op with `Swap -> arg | `Faa -> read + arg in
   let loc = Config.commit_locality cfg p r in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known = Config.map_learn (Config.map_learn st.Config.known r read) r wrote;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      obs = read :: st.Config.obs;
-      obs_len = st.Config.obs_len + 1;
-      obs_ha = Keyhash.mix_a st.Config.obs_ha read;
-      obs_hb = Keyhash.mix_b st.Config.obs_hb read;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.rmw = c.Metrics.rmw + 1;
-      fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  Config.commit_delta [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ] p
-    st ctr r wrote
+  advance d prog;
+  Config.observe d read;
+  commit d r wrote;
+  [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ]
 
 (* ------------------------------------------------------------------ *)
 (* View-based execution (RA/SRA). See DESIGN.md §6f.
@@ -248,8 +209,8 @@ let rec round_tuples store view acc = function
           round_tuples store (acquire store view m r) ((r, m) :: acc) rest)
         (eligible_msgs store view r)
 
-(** The alternatives of [st]'s current operation (labels already
-    skipped), newest-first; [[]] iff the process is final or blocked.
+(** The alternatives of [st]'s current operation (at its label-free
+    [skipped] program), newest-first; [[]] iff the process is final or blocked.
     Spins restrict to {e productive} reads — satisfying, or
     view-advancing, or not a repeat of the last observation — which is
     what makes spinning terminate within a fixed store: each
@@ -257,7 +218,7 @@ let rec round_tuples store view acc = function
     blocked rule would also suppress. *)
 let view_choices cfg (st : Config.pstate) : vchoice list =
   let store = Config.store_exn cfg in
-  match (st.Config.prog : Program.t) with
+  match (st.Config.skipped : Program.t) with
   | Program.Done _ -> []
   | Label _ -> assert false
   | Ret _ | Fence _ | Cas _ | Swap _ | Faa _ -> [ VDet ]
@@ -271,7 +232,7 @@ let view_choices cfg (st : Config.pstate) : vchoice list =
         (fun ((m : Modlog.msg), pos) ->
           if
             pred m.Modlog.value || pos > vp
-            || st.Config.last_read <> Some (r, m.Modlog.value)
+            || not (st.Config.lr_reg = r && st.Config.lr_value = m.Modlog.value)
           then Some (VSpinRead (m, pos))
           else None)
         (eligible_msgs store st.Config.view r)
@@ -313,115 +274,76 @@ let view_choices cfg (st : Config.pstate) : vchoice list =
     [0] iff final or blocked. The scheduler's draw range. *)
 let view_nchoices cfg p =
   let st = Config.pstate cfg p in
-  let st =
-    if st.Config.prog == st.Config.skipped then st
-    else { st with Config.prog = st.Config.skipped }
-  in
-  List.length (view_choices cfg st)
+  match (st.Config.skipped : Program.t) with
+  | Done _ -> 0
+  | Ret _ | Fence _ | Cas _ | Swap _ | Faa _ -> 1
+  | Read (r, _) ->
+      let store = Config.store_exn cfg in
+      Modlog.nmsgs store r - Modlog.view_pos store r st.Config.view
+  | Write _ when cfg.Config.model = Memory_model.Sra -> 1
+  | Write _ | Spin _ | Spinv _ | Label _ -> List.length (view_choices cfg st)
+
+(* Alternative [idx] of [st]'s current operation — [List.nth_opt] of
+   {!view_choices}, without building the list for the single-choice
+   operations and plain reads, the common steps. *)
+let view_choice cfg (st : Config.pstate) idx =
+  match (st.Config.skipped : Program.t) with
+  | Done _ -> None
+  | Ret _ | Fence _ | Cas _ | Swap _ | Faa _ -> if idx = 0 then Some VDet else None
+  | Read (r, _) ->
+      let store = Config.store_exn cfg in
+      let n = Modlog.nmsgs store r in
+      if idx >= n - Modlog.view_pos store r st.Config.view then None
+      else
+        let pos = n - 1 - idx in
+        Some (VRead (Modlog.msg_at store r pos, pos))
+  | Write (r, _, _) when cfg.Config.model = Memory_model.Sra ->
+      if idx = 0 then Some (VWriteAt (Modlog.nmsgs (Config.store_exn cfg) r))
+      else None
+  | Write _ | Spin _ | Spinv _ | Label _ -> List.nth_opt (view_choices cfg st) idx
 
 (* Read message [m] at [r]: acquire its base, observe its value.
-   Mirrors {!read_step} (fused single-allocation update); locality is
-   the paper's read rule — view reads are never store-forwarded. *)
-let view_read_step cfg p (st : Config.pstate) r (m : Modlog.msg) ~prog =
-  let store = Config.store_exn cfg in
+   Mirrors {!read_step}; locality is the paper's read rule — view reads
+   are never store-forwarded. *)
+let view_read_step cfg d p (st : Config.pstate) r (m : Modlog.msg) ~prog =
   let v = m.Modlog.value in
-  let loc, known = Config.read_learn cfg p st r v in
-  let view = acquire store st.Config.view m r in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known;
-      last_read = Some (r, v);
-      ops = st.Config.ops + 1;
-      obs = v :: st.Config.obs;
-      obs_len = st.Config.obs_len + 1;
-      obs_ha = Keyhash.mix_a st.Config.obs_ha v;
-      obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-      view;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.reads = c.Metrics.reads + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  Config.delta [ Step.Read { p; reg = r; value = v; from_wbuf = false; loc } ]
-    p st ctr
+  let loc = Config.read_locality cfg p st r v in
+  advance d prog;
+  d.Config.lr_reg <- r;
+  d.Config.lr_value <- v;
+  Config.observe d v;
+  Config.set_view d st (acquire (Config.store_exn cfg) st.Config.view m r);
+  [ Step.Read { p; reg = r; value = v; from_wbuf = false; loc } ]
 
 (* Write [v] to [r] at log position [at], base = the release view.
    Appends are commits: they advance the location's log maximum, so
    committed memory (kept materialized at the maximum) and the
    last-committer table update; an RA mid-log insertion changes
    neither. Either way the store changed, so the step is mem-dirty.
-   Commit locality is charged once, like the SC immediate-commit
-   write. *)
-let view_write_step cfg p (st : Config.pstate) r v ~at ~prog =
+   Commit locality is charged once, on the write step itself. *)
+let view_write_step cfg d p (st : Config.pstate) r v ~at ~prog =
   let store = Config.store_exn cfg in
   let appended = at = Modlog.nmsgs store r in
   let loc = Config.commit_locality cfg p r in
   let m, store = Modlog.insert store r ~at ~value:v ~base:st.Config.rel in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known = Config.map_learn st.Config.known r v;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      view = View.set st.Config.view r m.Modlog.mid;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.writes = c.Metrics.writes + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  let steps = [ Step.Write { p; reg = r; value = v } ] in
-  if appended then Config.commit_delta ~store steps p st ctr r v
-  else Config.delta ~store steps p st ctr
+  advance d prog;
+  Config.set_view d st (View.set st.Config.view r m.Modlog.mid);
+  Config.set_store d store;
+  if appended then commit d r v;
+  [ Step.Write { p; reg = r; value = v; loc } ]
 
 (* The SC fence: join the process's view into the global fence view
    and adopt the join; the release view catches up. Fences are thereby
    totally ordered (each adopts every earlier one's knowledge), which
    is what collapses fully fenced programs onto SC. *)
-let view_fence_step cfg p (st : Config.pstate) ~prog =
+let view_fence_step cfg d p (st : Config.pstate) ~prog =
   let store = Config.store_exn cfg in
   let view = Modlog.join store st.Config.view (Modlog.sc store) in
-  let store = Modlog.with_sc store view in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      view;
-      rel = view;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-    }
-  in
-  Config.delta ~store [ Step.Fence { p } ] p st ctr
+  advance d prog;
+  Config.set_view d st view;
+  Config.set_rel d st view;
+  Config.set_store d (Modlog.with_sc store view);
+  [ Step.Fence { p } ]
 
 (* Strong RMW (swap/faa): an SC fence, a read of the location's log
    MAXIMUM, and an append, atomically; the new message's base is the
@@ -430,9 +352,8 @@ let view_fence_step cfg p (st : Config.pstate) ~prog =
    (rather than any eligible message) is the "strong RMW"
    simplification documented in DESIGN.md §6f: it keeps RMW chains
    totally ordered per location, which the mutex algorithms rely on.
-   Billing mirrors the wbuf {!rmw_step}: rmw + fence + one step,
-   commit locality. *)
-let view_rmw_step cfg p (st : Config.pstate) r ~op ~arg ~k =
+   Billing mirrors the wbuf {!rmw_op}. *)
+let view_rmw_step cfg d p (st : Config.pstate) r ~op ~arg ~k =
   let store = Config.store_exn cfg in
   let view = Modlog.join store st.Config.view (Modlog.sc store) in
   let m = Modlog.max_msg store r in
@@ -445,44 +366,18 @@ let view_rmw_step cfg p (st : Config.pstate) r ~op ~arg ~k =
       ~base:view
   in
   let view = View.set view r wm.Modlog.mid in
-  let store = Modlog.with_sc store view in
-  let prog = k read in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known = Config.map_learn (Config.map_learn st.Config.known r read) r wrote;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      obs = read :: st.Config.obs;
-      obs_len = st.Config.obs_len + 1;
-      obs_ha = Keyhash.mix_a st.Config.obs_ha read;
-      obs_hb = Keyhash.mix_b st.Config.obs_hb read;
-      view;
-      rel = view;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.rmw = c.Metrics.rmw + 1;
-      fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  Config.commit_delta ~store
-    [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ]
-    p st ctr r wrote
+  advance d (k read);
+  Config.observe d read;
+  Config.set_view d st view;
+  Config.set_rel d st view;
+  Config.set_store d (Modlog.with_sc store view);
+  commit d r wrote;
+  [ Step.Rmw { p; reg = r; op; arg; read; wrote; loc } ]
 
 (* Cas: same barrier + read-the-maximum discipline as {!view_rmw_step};
    on success the update appends and publishes, on failure only the
    read-enriched view is published (the barrier still happened). *)
-let view_cas_step cfg p (st : Config.pstate) r ~expect ~update ~k =
+let view_cas_step cfg d p (st : Config.pstate) r ~expect ~update ~k =
   let store = Config.store_exn cfg in
   let view = Modlog.join store st.Config.view (Modlog.sc store) in
   let m = Modlog.max_msg store r in
@@ -500,358 +395,152 @@ let view_cas_step cfg p (st : Config.pstate) r ~expect ~update ~k =
     end
     else (view, store)
   in
-  let store = Modlog.with_sc store view in
-  let ok = b2i success in
-  let prog = k success in
-  let known = Config.map_learn st.Config.known r read in
-  let known = if success then Config.map_learn known r update else known in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      obs = ok :: read :: st.Config.obs;
-      obs_len = st.Config.obs_len + 2;
-      obs_ha = Keyhash.mix_a (Keyhash.mix_a st.Config.obs_ha read) ok;
-      obs_hb = Keyhash.mix_b (Keyhash.mix_b st.Config.obs_hb read) ok;
-      view;
-      rel = view;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.cas = c.Metrics.cas + 1;
-      fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  let steps = [ Step.Cas { p; reg = r; expect; update; read; success; loc } ] in
-  if success then Config.commit_delta ~store steps p st ctr r update
-  else Config.delta ~store steps p st ctr
+  advance d (k success);
+  Config.observe d read;
+  Config.observe d (b2i success);
+  Config.set_view d st view;
+  Config.set_rel d st view;
+  Config.set_store d (Modlog.with_sc store view);
+  if success then commit d r update;
+  [ Step.Cas { p; reg = r; expect; update; read; success; loc } ]
 
 (* One atomic spinv round: the per-register reads of [tuple] in
    program order, each acquiring its message's base. Executing the
    round whole is outcome-equivalent to unrolling it into reads (the
    tuple was enumerated against the threaded view), and sidesteps the
-   unrolled form's unbounded unproductive interleavings. Bills one
-   read step per register. *)
-let view_round_step cfg p (st : Config.pstate) regs pred k tuple =
+   unrolled form's unbounded unproductive interleavings. One read step
+   (and one op) per register; a value read earlier in the round is a
+   cache hit. *)
+let view_round_step cfg d p (st : Config.pstate) regs pred k tuple =
   let store = Config.store_exn cfg in
-  let nreads = List.length tuple in
-  let steps, st, nrmr, ndsm, ncc =
-    List.fold_left
-      (fun (steps, st, nrmr, ndsm, ncc) (r, (m : Modlog.msg)) ->
-        let v = m.Modlog.value in
-        let loc, known = Config.read_learn cfg p st r v in
-        let st =
-          {
-            st with
-            Config.known = known;
-            obs = v :: st.Config.obs;
-            obs_len = st.Config.obs_len + 1;
-            obs_ha = Keyhash.mix_a st.Config.obs_ha v;
-            obs_hb = Keyhash.mix_b st.Config.obs_hb v;
-            view = acquire store st.Config.view m r;
-          }
-        in
-        ( Step.Read { p; reg = r; value = v; from_wbuf = false; loc } :: steps,
-          st,
-          nrmr + b2i (Step.is_rmr loc),
-          ndsm + b2i (not loc.Step.dsm_local),
-          ncc + b2i (not loc.Step.cc_local) ))
-      ([], st, 0, 0, 0) tuple
+  let read (view, known, steps) (r, (m : Modlog.msg)) =
+    let v = m.Modlog.value in
+    let cc_local = Config.Known.mem known r v in
+    let loc =
+      Step.locality ~dsm_local:(Layout.is_local cfg.Config.layout p r) ~cc_local
+    in
+    Config.observe d v;
+    ( acquire store view m r,
+      (if cc_local then known else Config.Known.add known r v),
+      Step.Read { p; reg = r; value = v; from_wbuf = false; loc } :: steps )
+  in
+  let view, _, steps =
+    List.fold_left read (st.Config.view, st.Config.known, []) tuple
   in
   let vs = List.map (fun (_, (m : Modlog.msg)) -> m.Modlog.value) tuple in
-  let prog =
-    if pred vs then k vs else Program.Spinv (regs, Some vs, pred, k)
-  in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      last_read = None;
-      ops = st.Config.ops + nreads;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.reads = c.Metrics.reads + nreads;
-      steps = c.Metrics.steps + nreads;
-      rmr = c.Metrics.rmr + nrmr;
-      rmr_dsm = c.Metrics.rmr_dsm + ndsm;
-      rmr_cc = c.Metrics.rmr_cc + ncc;
-    }
-  in
-  Config.delta (List.rev steps) p st ctr
-
-(* The no-op delta of [p] at [st]: nothing produced. When [st] is a
-   label-consumed copy of [p]'s installed state, installing it still
-   consumes the labels (the caller prepends their notes). *)
-let noop cfg p (st : Config.pstate) =
-  if st == Config.pstate cfg p then Config.idle cfg p
-  else Config.delta [] p st st.Config.ctr
+  advance d (if pred vs then k vs else Program.Spinv (regs, Some vs, pred, k));
+  d.Config.ops <- st.Config.ops + List.length tuple;
+  Config.set_view d st view;
+  List.rev steps
 
 (* One view-backend step of [p], taking alternative [idx] of its
-   current operation (labels already skipped). A no-op when there is
-   nothing to do — final, or blocked — for [idx = 0]; an out-of-range
-   explicit alternative is a schedule bug and raises. *)
-let view_op_step cfg p (st : Config.pstate) idx : Config.delta =
-  let choices = view_choices cfg st in
-  match List.nth_opt choices idx with
+   current operation. A no-op when there is nothing to do — final, or
+   blocked — for [idx = 0]; an out-of-range explicit alternative is a
+   schedule bug and raises. *)
+let view_op_step cfg d p (st : Config.pstate) idx =
+  match view_choice cfg st idx with
   | None ->
-      if idx = 0 then noop cfg p st
-      else
+      if idx <> 0 then
         Fmt.invalid_arg "Exec: view choice %d out of range (%d available)" idx
-          (List.length choices)
+          (List.length (view_choices cfg st));
+      []
   | Some c -> (
-      match ((st.Config.prog : Program.t), c) with
+      match ((st.Config.skipped : Program.t), c) with
       | Program.Ret v, VDet ->
-          let d = Program.Done v in
-          let st =
-            {
-              st with
-              Config.prog = d;
-              skipped = d;
-              last_read = None;
-              ops = st.Config.ops + 1;
-            }
-          in
-          let c = st.Config.ctr in
-          let ctr =
-            {
-              c with
-              Metrics.returns = c.Metrics.returns + 1;
-              steps = c.Metrics.steps + 1;
-            }
-          in
-          Config.delta [ Step.Return { p; value = v } ] p st ctr
+          advance d (Program.Done v);
+          [ Step.Return { p; value = v } ]
       | Read (r, k), VRead (m, _) ->
-          view_read_step cfg p st r m ~prog:(k m.Modlog.value)
-      | Spin (r, pred, k), VSpinRead (m, _) ->
-          let prog =
-            if pred m.Modlog.value then k m.Modlog.value else st.Config.prog
-          in
-          view_read_step cfg p st r m ~prog
+          view_read_step cfg d p st r m ~prog:(k m.Modlog.value)
+      | (Spin (r, pred, k) as spin), VSpinRead (m, _) ->
+          let prog = if pred m.Modlog.value then k m.Modlog.value else spin in
+          view_read_step cfg d p st r m ~prog
       | Spinv (regs, _, pred, k), VRound tuple ->
-          view_round_step cfg p st regs pred k tuple
+          view_round_step cfg d p st regs pred k tuple
       | Write (r, v, k), VWriteAt at ->
-          view_write_step cfg p st r v ~at ~prog:(k ())
-      | Fence k, VDet -> view_fence_step cfg p st ~prog:(k ())
+          view_write_step cfg d p st r v ~at ~prog:(k ())
+      | Fence k, VDet -> view_fence_step cfg d p st ~prog:(k ())
       | Cas (r, expect, update, k), VDet ->
-          view_cas_step cfg p st r ~expect ~update ~k
-      | Swap (r, arg, k), VDet -> view_rmw_step cfg p st r ~op:`Swap ~arg ~k
-      | Faa (r, arg, k), VDet -> view_rmw_step cfg p st r ~op:`Faa ~arg ~k
+          view_cas_step cfg d p st r ~expect ~update ~k
+      | Swap (r, arg, k), VDet -> view_rmw_step cfg d p st r ~op:`Swap ~arg ~k
+      | Faa (r, arg, k), VDet -> view_rmw_step cfg d p st r ~op:`Faa ~arg ~k
       | _ -> assert false)
 
 (* The return step: the process becomes [Done v]. *)
-let ret_op p (st : Config.pstate) ~wb v =
-  let d = Program.Done v in
-  let st =
-    {
-      st with
-      Config.prog = d;
-      skipped = d;
-      wb;
-      last_read = None;
-      ops = st.Config.ops + 1;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.returns = c.Metrics.returns + 1;
-      steps = c.Metrics.steps + 1;
-    }
-  in
-  Config.delta [ Step.Return { p; value = v } ] p st ctr
+let ret_op d p st ~wb v =
+  advance d (Program.Done v);
+  Config.set_wb d st wb;
+  [ Step.Return { p; value = v } ]
 
 (* The write step: buffered models enqueue into [wb] (the caller's
    overtake-marked view of [st]'s buffer); SC commits immediately —
    two model steps (the write and its commit) from one element, as
-   the module header promises. *)
-let write_op cfg p (st : Config.pstate) ~wb r v ~prog =
+   the module header promises. Commit locality is charged (once, on
+   the commit), so SC algorithms still pay DSM RMRs for writing remote
+   registers, as in the classical literature. *)
+let write_op cfg d p st ~wb r v ~prog =
+  advance d prog;
+  let write = Step.Write { p; reg = r; value = v; loc = Step.local } in
   if cfg.Config.buffered then begin
-    let wb = Memory_model.buffer_write cfg.Config.model wb r v in
-    let st =
-      {
-        st with
-        Config.prog;
-        skipped = Program.post_labels prog;
-        known = Config.map_learn st.Config.known r v;
-        wb;
-        last_read = None;
-        ops = st.Config.ops + 1;
-      }
-    in
-    let c = st.Config.ctr in
-    let ctr =
-      {
-        c with
-        Metrics.writes = c.Metrics.writes + 1;
-        steps = c.Metrics.steps + 1;
-      }
-    in
-    Config.delta [ Step.Write { p; reg = r; value = v } ] p st ctr
+    Config.set_wb d st (Memory_model.buffer_write cfg.Config.model wb r v);
+    [ write ]
   end
   else begin
-    (* SC: the write is immediately committed. Commit locality is
-       charged (once), so SC algorithms still pay DSM RMRs for writing
-       remote registers, as in the classical literature. *)
-    let loc = Config.commit_locality cfg p r in
-    let st =
-      {
-        st with
-        Config.prog;
-        skipped = Program.post_labels prog;
-        known = Config.map_learn st.Config.known r v;
-        last_read = None;
-        ops = st.Config.ops + 1;
-      }
-    in
-    let c = st.Config.ctr in
-    let ctr =
-      {
-        c with
-        Metrics.writes = c.Metrics.writes + 1;
-        commits = c.Metrics.commits + 1;
-        steps = c.Metrics.steps + 2;
-        rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-        rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-        rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-      }
-    in
-    Config.commit_delta
-      [
-        Step.Write { p; reg = r; value = v };
-        Step.Commit { p; reg = r; value = v; loc };
-      ]
-      p st ctr r v
+    commit d r v;
+    [
+      write;
+      Step.Commit { p; reg = r; value = v; loc = Config.commit_locality cfg p r };
+    ]
   end
 
 (* The fence step: the dispatcher already forced the buffer empty. *)
-let fence_op p (st : Config.pstate) ~prog =
+let fence_op d p (st : Config.pstate) ~prog =
   assert (Wbuf.is_empty st.Config.wb);
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      last_read = None;
-      ops = st.Config.ops + 1;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-    }
-  in
-  Config.delta [ Step.Fence { p } ] p st ctr
+  advance d prog;
+  [ Step.Fence { p } ]
 
 (* The cas step: [read]/[success] precomputed by the caller (it needed
-   them to build [prog]), barrier semantics as documented on the
-   metrics below. *)
-let cas_op cfg p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
+   them to build [prog]). *)
+let cas_op cfg d p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
   assert (Wbuf.is_empty st.Config.wb);
   let loc = Config.commit_locality cfg p r in
-  let ok = b2i success in
-  let known = Config.map_learn st.Config.known r read in
-  let known = if success then Config.map_learn known r update else known in
-  let st =
-    {
-      st with
-      Config.prog;
-      skipped = Program.post_labels prog;
-      known;
-      last_read = None;
-      ops = st.Config.ops + 1;
-      obs = ok :: read :: st.Config.obs;
-      obs_len = st.Config.obs_len + 2;
-      obs_ha = Keyhash.mix_a (Keyhash.mix_a st.Config.obs_ha read) ok;
-      obs_hb = Keyhash.mix_b (Keyhash.mix_b st.Config.obs_hb read) ok;
-    }
-  in
-  let c = st.Config.ctr in
-  let ctr =
-    {
-      c with
-      Metrics.cas = c.Metrics.cas + 1;
-      (* a cas carries an implicit full barrier; counting it as a
-         fence keeps comparisons with read/write algorithms fair
-         and matches the paper's remark that strong primitives
-         "also incur significant overhead". *)
-      fences = c.Metrics.fences + 1;
-      steps = c.Metrics.steps + 1;
-      rmr = c.Metrics.rmr + b2i (Step.is_rmr loc);
-      rmr_dsm = c.Metrics.rmr_dsm + b2i (not loc.Step.dsm_local);
-      rmr_cc = c.Metrics.rmr_cc + b2i (not loc.Step.cc_local);
-    }
-  in
-  let steps = [ Step.Cas { p; reg = r; expect; update; read; success; loc } ] in
-  if success then Config.commit_delta steps p st ctr r update
-  else Config.delta steps p st ctr
+  advance d prog;
+  Config.observe d read;
+  Config.observe d (b2i success);
+  if success then commit d r update;
+  [ Step.Cas { p; reg = r; expect; update; read; success; loc } ]
 
-(* One operation step of [p] (labels already skipped; [st] is [p]'s
-   current state, [prog = st.prog]). A no-op ({!noop}) when [p] has no
-   step to take: it is final, or blocked on a spin whose register
-   still holds the value it last observed. Dispatch is on the tree
-   node; under [Config.make]'s default the node's continuations are
-   memoized ({!Compile}), so re-stepping a visited position rebuilds
-   nothing. *)
-let op_step cfg p (st : Config.pstate) ~wb prog : Config.delta =
+(* One operation step of [p] at its label-free program [prog] ([st] is
+   [p]'s installed state), returning its steps. Nothing happens — no
+   steps, the delta stays the no-op — when [p] has no step to take: it is final, or blocked on a spin
+   whose register still holds the value it last observed. Dispatch is
+   on the tree node; under [Config.make]'s default the node's
+   continuations are memoized ({!Compile}), so re-stepping a visited
+   position rebuilds nothing. *)
+let op_step cfg d p (st : Config.pstate) ~wb prog =
   match (prog : Program.t) with
-  | Program.Done _ -> noop cfg p st
+  | Program.Done _ -> []
   | Label _ -> assert false
-  | Ret v -> ret_op p st ~wb v
+  | Ret v -> ret_op d p st ~wb v
   | Read (r, k) ->
-      let e =
-        if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
-        else Wbuf.no_entry
-      in
+      let e = forwarded cfg st r in
       let fw = e != Wbuf.no_entry in
       let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-      read_step cfg p st ~wb r v fw ~prog:(k v)
+      read_step cfg d p st ~wb r v fw ~prog:(k v)
   | Spin (r, pred, k) ->
-      let e =
-        if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
-        else Wbuf.no_entry
-      in
+      let e = forwarded cfg st r in
       let fw = e != Wbuf.no_entry in
       let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-      if pred v then read_step cfg p st ~wb r v fw ~prog:(k v)
-      else begin
-        match st.Config.last_read with
-        | Some (r', v') when Reg.equal r r' && v = v' ->
-            (* blocked: the register still holds the value this process
-               already observed; a re-read is a cache hit and a no-op *)
-            noop cfg p st
-        | Some _ | None ->
-            (* observe the (new) unsatisfying value: a real read step
-               that leaves the process poised at the same spin *)
-            read_step cfg p st ~wb r v fw ~prog
-      end
+      if pred v then read_step cfg d p st ~wb r v fw ~prog:(k v)
+      else if not (st.Config.lr_reg = r && st.Config.lr_value = v) then
+        (* observe the (new) unsatisfying value: a real read step that
+           leaves the process poised at the same spin; a repeat is
+           blocked — a cache hit and a no-op *)
+        read_step cfg d p st ~wb r v fw ~prog
+      else []
   | Spinv (regs, prev, pred, k) ->
-      let visible = List.map (fun r -> visible_only cfg st r) regs in
-      if prev = Some visible then
-        (* blocked: a round would replay *)
-        noop cfg p st
-      else begin
-        (* unroll one round into ordinary fine-grained reads; execute
-           the first of them now *)
+      if not (replays cfg st regs prev) then begin
+        (* not blocked (a round would not replay): unroll one round
+           into ordinary fine-grained reads; execute the first now *)
         let rec round acc = function
           | [] ->
               let vs = List.rev acc in
@@ -860,42 +549,39 @@ let op_step cfg p (st : Config.pstate) ~wb prog : Config.delta =
         in
         match round [] regs with
         | Program.Read (r, k') ->
-            let e =
-              if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
-              else Wbuf.no_entry
-            in
+            let e = forwarded cfg st r in
             let fw = e != Wbuf.no_entry in
             let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-            read_step cfg p st ~wb r v fw ~prog:(k' v)
+            read_step cfg d p st ~wb r v fw ~prog:(k' v)
         | _ -> invalid_arg "Exec: Spinv over no registers"
       end
-  | Write (r, v, k) -> write_op cfg p st ~wb r v ~prog:(k ())
-  | Fence k -> fence_op p st ~prog:(k ())
+      else []
+  | Write (r, v, k) -> write_op cfg d p st ~wb r v ~prog:(k ())
+  | Fence k -> fence_op d p st ~prog:(k ())
   | Cas (r, expect, update, k) ->
       let read = Config.read_mem cfg r in
       let success = read = expect in
-      cas_op cfg p st r ~expect ~update ~read ~success ~prog:(k success)
+      cas_op cfg d p st r ~expect ~update ~read ~success ~prog:(k success)
   | Swap (r, arg, k) ->
       let read = Config.read_mem cfg r in
-      rmw_op cfg p st r ~op:`Swap ~arg ~read ~prog:(k read)
+      rmw_op cfg d p st r ~op:`Swap ~arg ~read ~prog:(k read)
   | Faa (r, arg, k) ->
       let read = Config.read_mem cfg r in
-      rmw_op cfg p st r ~op:`Faa ~arg ~read ~prog:(k read)
+      rmw_op cfg d p st r ~op:`Faa ~arg ~read ~prog:(k read)
 
-(* [p]'s pending labels as costless note steps, and [st] with them
-   consumed — a fresh record whose lanes the caller refreshes. Only
-   called when [p] is poised at a label: [prog == skipped] is an exact
-   pending-label test, since [Program.post_labels] returns its argument
-   physically when there is nothing to skip. The walk is for note
-   emission only; the installed program is the cached [skipped], so
-   continuations past a label are never re-forced here. *)
-let take_labels p (st : Config.pstate) =
+(* The notes of the labels [prog] is poised at. Only called when there
+   are some: [prog == skipped] is an exact pending-label test, since
+   [Program.post_labels] returns its argument physically when there is
+   nothing to skip. The walk is for note emission only; the installed
+   program is the cached [skipped], so continuations past a label are
+   never re-forced here. *)
+let label_notes p prog =
   let notes = ref [] in
   ignore
     (Program.skip_labels
        ~emit:(fun s -> notes := Step.Note { p; text = s } :: !notes)
-       st.Config.prog);
-  (List.rev !notes, { st with Config.prog = st.Config.skipped })
+       prog);
+  List.rev !notes
 
 (** Consume pending labels of every process, returning the notes and
     the processes whose state changed. The model checker normalizes
@@ -915,11 +601,11 @@ let flush_labels_d cfg : Step.t list * Config.t * Pid.t list =
         let st = Config.pstate cfg p in
         if st.Config.prog == st.Config.skipped then go (p + 1) acc dirtied cfg
         else
-          let notes, st = take_labels p st in
+          let notes = label_notes p st.Config.prog in
           go (p + 1)
             (List.rev_append notes acc)
             (if notes <> [] then p :: dirtied else dirtied)
-            (Config.set_pstate cfg p st)
+            (Config.set_pstate cfg p { st with Config.prog = st.Config.skipped })
     in
     go 0 [] [] cfg
 
@@ -937,24 +623,24 @@ let forced_commit_pending cfg p =
   | Program.Op_fence | Program.Op_cas -> true
   | Op_read | Op_write | Op_spin | Op_return _ | Op_done -> false
 
-(* The element [(p, r)] at [p]'s label-free state [st]. Commits are
-   system steps — they remain possible even after the process reached
-   its final state with a non-empty buffer (only programs that fence
-   before returning are guaranteed an empty buffer at return, and our
-   ablations deliberately break that). *)
-let dispatch cfg p (st : Config.pstate) r : Config.delta =
+(* The element [(p, r)] at [p]'s state [st], labels consumed. Commits
+   are system steps — they remain possible even after the process
+   reached its final state with a non-empty buffer (only programs that
+   fence before returning are guaranteed an empty buffer at return,
+   and our ablations deliberately break that). *)
+let dispatch cfg d p (st : Config.pstate) r =
   if cfg.Config.view_based then
     (* view backend: the register slot is a choice index (see the view
        section header); there are no commits or buffers to overtake *)
-    view_op_step cfg p st (match r with None -> 0 | Some k -> k)
+    view_op_step cfg d p st (match r with None -> 0 | Some k -> k)
   else
-    let prog = st.Config.prog in
+    let prog = st.Config.skipped in
     let wb = st.Config.wb in
     match r with
     | Some r when Memory_model.may_commit cfg.Config.model wb r ->
-        commit_write cfg p st r
+        commit_write cfg d p st r
     | Some _ | None -> (
-        if Program.is_done prog then noop cfg p st
+        if Program.is_done prog then []
         else
           let forced =
             match Program.next_kind prog with
@@ -964,52 +650,67 @@ let dispatch cfg p (st : Config.pstate) r : Config.delta =
             | Op_read | Op_write | Op_spin | Op_return _ | Op_done -> None
           in
           match forced with
-          | Some r -> commit_write cfg p st r
+          | Some r -> commit_write cfg d p st r
           | None ->
               (* The op is about to execute while [p]'s buffered writes
                  are still uncommitted: mark them overtaken (the
                  write→op half of the reorder-budget accounting — under
-                 SC those writes would already have committed). The
-                 marked buffer is threaded into [op_step]'s fused record
-                 builds — no intermediate pstate copy — and a blocked op
-                 is a no-op, discarding the marking, so no-ops never
-                 charge. No-op when the buffer is empty or already fully
-                 marked. *)
+                 SC those writes would already have committed). A
+                 blocked op is a no-op, discarding the marking, so
+                 no-ops never charge. No-op when the buffer is empty or
+                 already fully marked. *)
               let owb = if Wbuf.is_empty wb then wb else Wbuf.overtake_all wb in
-              op_step cfg p st ~wb:owb prog)
+              op_step cfg d p st ~wb:owb prog)
 
-(** Step one schedule element into a delta, building no configuration:
+(** Step one schedule element into [d], building no configuration:
     [p]'s pending labels are consumed first (their notes lead the
-    steps), then the element is interpreted per the module header.
+    steps), then the element is interpreted per the module header, and
+    the stepped process's lanes are refreshed. [d] is overwritten
+    whole; it stays valid until the next step into it. Every pointer
+    field is written at most once (a write into the long-lived scratch
+    record goes through the write barrier).
 
-    Hot-loop audit note: the [notes @ steps] append below is {e not}
+    Hot-loop audit note: the [notes @ steps] append here is {e not}
     the quadratic accumulation pattern fixed in {!Scheduler.sequential}
     — [notes] is the pending-label list of one process at one program
     point, bounded by the longest run of consecutive [label]s in the
     program text, and the model checker's normalized states never have
     any. Callers that accumulate whole traces ({!exec}, the schedulers,
     the explorers) all use rev-append with a single final reverse. *)
-let step cfg ((p, r) : elt) : Config.delta =
+let step_into d cfg ((p, r) : elt) =
   let st = Config.pstate cfg p in
-  if st.Config.prog == st.Config.skipped then dispatch cfg p st r
-  else
-    let notes, st = take_labels p st in
-    let d = dispatch cfg p st r in
-    { d with Config.steps = notes @ d.Config.steps }
+  Config.load d p st;
+  let steps = dispatch cfg d p st r in
+  if d.Config.ops = st.Config.ops then begin
+    (* a commit or a no-op: the program stays, its labels consumed *)
+    if d.Config.prog != st.Config.skipped then d.Config.prog <- st.Config.skipped
+  end;
+  d.Config.steps <-
+    (if st.Config.prog == st.Config.skipped then steps
+     else label_notes p st.Config.prog @ steps);
+  if Config.changes cfg d then Config.refresh d st
+
+(** {!step_into} a fresh delta — for cold callers. *)
+let step cfg e =
+  let d = Config.scratch () in
+  step_into d cfg e;
+  d
 
 (** Does the delta leave its process poised at a label? *)
-let unsettled (d : Config.delta) =
-  d.Config.next.Config.prog != d.Config.next.Config.skipped
+let unsettled (d : Config.delta) = Program.at_label d.Config.prog
 
-(** Consume the labels the delta's process is poised at: their notes,
-    and the delta with them consumed — what {!flush_labels_d} does to
-    the installed child, when the parent had no pending labels (then
-    only the stepped process can have any). *)
-let settle (d : Config.delta) : Step.t list * Config.delta =
-  if not (unsettled d) then ([], d)
-  else
-    let notes, st = take_labels d.Config.pid d.Config.next in
-    (notes, Config.with_next d st)
+(** Consume the labels the delta's process is poised at, in place, and
+    return their notes ([cfg] is the configuration stepped from) — what {!flush_labels_d} does to the installed
+    child, when the parent had no pending labels (then only the stepped
+    process can have any). *)
+let settle cfg (d : Config.delta) =
+  if not (unsettled d) then []
+  else begin
+    let notes = label_notes d.Config.pid d.Config.prog in
+    d.Config.prog <- Program.post_labels d.Config.prog;
+    Config.refresh d (Config.pstate cfg d.Config.pid);
+    notes
+  end
 
 (* What installing the delta dirtied. *)
 let dirty_of_delta cfg (d : Config.delta) =
@@ -1018,14 +719,15 @@ let dirty_of_delta cfg (d : Config.delta) =
     dirty_of d.Config.pid
       ~mem:
         (d.Config.commit_reg <> Config.no_reg
-        || Option.is_some d.Config.new_store)
+        || Option.is_some (Config.next_store d))
 
 (** Execute one schedule element, reporting the steps produced, the
     successor configuration and the dirtied key components:
-    [Config.apply] of {!step}. *)
+    [Config.apply] of a fresh {!step}. *)
 let exec_elt_d cfg (e : elt) : Step.t list * Config.t * dirty =
   let d = step cfg e in
   (d.Config.steps, Config.apply cfg d, dirty_of_delta cfg d)
+
 
 (** Execute one schedule element. Returns the steps it produced (empty
     when the element is a no-op, e.g. names a finished process) and the
@@ -1099,23 +801,16 @@ let terminates_solo ?fuel cfg p = Option.is_some (run_solo ?fuel cfg p)
 let blocked cfg (st : Config.pstate) =
   if cfg.Config.view_based then
     (not (Program.is_done st.Config.skipped))
-    && view_choices cfg
-         (if st.Config.prog == st.Config.skipped then st
-          else { st with Config.prog = st.Config.skipped })
-       = []
+    && view_choices cfg st = []
   else
     (* dispatch on the cached post-label program directly; the spin
-       probes below read only [wb]/[last_read], which labels don't touch *)
+       probes below read only the buffer and the last read, which labels
+       don't touch *)
     match (st.Config.skipped : Program.t) with
     | Program.Spin (r, pred, _) -> (
         let v = visible_only cfg st r in
-        (not (pred v))
-        &&
-        match st.Config.last_read with
-        | Some (r', v') -> Reg.equal r r' && v = v'
-        | None -> false)
-    | Program.Spinv (regs, prev, _, _) ->
-        prev = Some (List.map (fun r -> visible_only cfg st r) regs)
+        (not (pred v)) && st.Config.lr_reg = r && st.Config.lr_value = v)
+    | Program.Spinv (regs, prev, _, _) -> replays cfg st regs prev
     | Done _ | Ret _ | Read _ | Write _ | Fence _ | Cas _ | Swap _ | Faa _
     | Label _ -> false
 

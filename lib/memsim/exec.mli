@@ -34,23 +34,28 @@ val exec_elt : Config.t -> elt -> Step.t list * Config.t
 
 (** Like {!exec_elt}, additionally reporting which key components the
     element dirtied, so callers can maintain state fingerprints
-    incrementally. It is [Config.apply] of {!step}. *)
+    incrementally. It is [Config.apply] of a fresh {!step}. *)
 val exec_elt_d : Config.t -> elt -> Step.t list * Config.t * dirty
 
-(** Step one element into a {!Config.delta} without building the
-    successor configuration: the steps (pending-label notes of [p]
-    first), [p]'s successor state, the commit and the store. The model
-    checker keys children from deltas and installs only new ones. *)
+(** [step_into d cfg e]: step one element into the scratch delta [d]
+    (overwriting it whole) without building the successor
+    configuration or process state: the steps (pending-label notes of
+    [p] first) and what the key and the monitors read. The model
+    checker keys children from the delta and installs only new ones
+    ([Config.apply]); [d] is valid until the next step into it. *)
+val step_into : Config.delta -> Config.t -> elt -> unit
+
+(** {!step_into} a fresh delta — for cold callers. *)
 val step : Config.t -> elt -> Config.delta
 
 (** Is the delta's process left poised at a label? *)
 val unsettled : Config.delta -> bool
 
-(** Consume the labels the delta's process is left poised at: their
-    notes, and the settled delta. Applied to a child of a configuration
-    with no pending labels, [Config.apply] of the settled delta is what
-    {!flush_labels_d} makes of the applied child. *)
-val settle : Config.delta -> Step.t list * Config.delta
+(** [settle cfg d]: consume the labels the process of [d] (stepped
+    from [cfg]) is left poised at, in place, returning their notes.
+    When [cfg] has no pending labels, [Config.apply cfg] of the settled
+    delta is what {!flush_labels_d} makes of the applied child. *)
+val settle : Config.t -> Config.delta -> Step.t list
 
 (** Run a whole schedule, accumulating the trace. *)
 val exec : Config.t -> elt list -> Step.t list * Config.t

@@ -48,10 +48,17 @@ type 'm result = {
   deadlocks : Exec.elt list list;  (** paths to stuck non-final states *)
 }
 
-(* Schedule elements that can produce a model step right now.
-   ([ops @ commits @ acc] is bounded appending: at most one op element
-   and |buffered registers| commit elements per process, rebuilt fresh
-   per state — nothing accumulates across states.) *)
+(* [p]'s commit elements ([elts], indexed by register) consed onto
+   [acc] in [Memory_model.commit_candidates] order, without building
+   the candidate list: the largest register is consed first. *)
+let rec commits_onto model elts wb bound acc =
+  let r = Memory_model.commit_candidate_below model wb bound in
+  if r < 0 then acc else commits_onto model elts wb r (elts.(r) :: acc)
+
+(* Schedule elements that can produce a model step right now: per
+   process, its op element (unless final or blocked), then its commit
+   elements — rebuilt fresh per state, nothing accumulates across
+   states. *)
 let successor_elts cfg : Exec.elt list =
   let n = Config.nprocs cfg in
   if Memory_model.view_based cfg.Config.model then
@@ -73,11 +80,8 @@ let successor_elts cfg : Exec.elt list =
       let acc =
         if Wbuf.is_empty wb then acc
         else
-          let elts = cfg.Config.commit_elts.(p) in
-          List.map
-            (fun r -> elts.(r))
-            (Memory_model.commit_candidates cfg.Config.model wb)
-          @ acc
+          commits_onto cfg.Config.model cfg.Config.commit_elts.(p) wb max_int
+            acc
       in
       let acc =
         if Program.is_done st.Config.skipped || Exec.blocked cfg st then acc

@@ -89,12 +89,27 @@ let buffer_write t wb r v =
       Fmt.invalid_arg "Memory_model.buffer_write: %s has no write buffer"
         (to_string t)
 
-(** Registers whose pending write may be committed right now. *)
-let commit_candidates t wb =
+(** The largest register below [bound] whose pending write may be
+    committed right now, or [-1]: iterated down from [max_int], the
+    commit candidates in decreasing order, with no list built. *)
+let commit_candidate_below t wb bound =
   match t with
-  | Sc | Ra | Sra -> []
-  | Tso -> ( match Wbuf.head wb with None -> [] | Some e -> [ e.Wbuf.reg ])
-  | Pso | Rmo -> Wbuf.distinct_regs_sorted wb
+  | Sc | Ra | Sra -> -1
+  | Tso -> (
+      match Wbuf.head wb with
+      | Some e when e.Wbuf.reg < bound -> e.Wbuf.reg
+      | Some _ | None -> -1)
+  | Pso | Rmo -> Wbuf.max_reg_below wb bound
+
+(** Registers whose pending write may be committed right now, in
+    increasing order: the FIFO head under TSO, every buffered register
+    under PSO/RMO. *)
+let commit_candidates t wb =
+  let rec go bound acc =
+    let r = commit_candidate_below t wb bound in
+    if r < 0 then acc else go r (r :: acc)
+  in
+  go max_int []
 
 (** [may_commit t wb r] iff [r] is among [commit_candidates t wb] —
     the executor's explicit-commit test, without materializing the

@@ -41,8 +41,13 @@ val reorders_writes : t -> bool
     raises [Invalid_argument] for view-based models). *)
 val buffer_write : t -> Wbuf.t -> Reg.t -> int -> Wbuf.t
 
-(** Registers whose pending write may commit right now. *)
+(** Registers whose pending write may commit right now, in increasing
+    order. *)
 val commit_candidates : t -> Wbuf.t -> Reg.t list
+
+(** The largest of {!commit_candidates} below the bound, or [-1] —
+    iterated down from [max_int], the candidates without the list. *)
+val commit_candidate_below : t -> Wbuf.t -> Reg.t -> Reg.t
 
 (** Membership in {!commit_candidates}, without building the list. *)
 val may_commit : t -> Wbuf.t -> Reg.t -> bool

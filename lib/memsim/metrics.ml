@@ -77,6 +77,69 @@ let sub a b =
 (* Every field, each under its own label, so debug dumps are
    trustworthy: the old printer omitted [returns] and [rmw] entirely
    and hid the pure-model RMR counts behind unlabeled parentheses. *)
+let[@inline] b2i b = if b then 1 else 0
+
+(** What one step costs: the single place the census and the RMR
+    counts are charged. A cas or strong RMW also counts as a fence —
+    it carries an implicit full barrier, and counting it keeps
+    comparisons with read/write algorithms fair (the paper's remark
+    that strong primitives "also incur significant overhead"). A
+    store-forwarded read is fully local; a note costs nothing. One
+    record build per step: this runs once per step of every new state. *)
+let charge (s : Step.t) c =
+  match s with
+  | Step.Note _ -> c
+  | Read { from_wbuf; loc; _ } ->
+      {
+        c with
+        steps = c.steps + 1;
+        reads = c.reads + 1;
+        reads_from_wbuf = c.reads_from_wbuf + b2i from_wbuf;
+        rmr = c.rmr + b2i (Step.is_rmr loc);
+        rmr_dsm = c.rmr_dsm + b2i (not loc.Step.dsm_local);
+        rmr_cc = c.rmr_cc + b2i (not loc.Step.cc_local);
+      }
+  | Write { loc; _ } ->
+      {
+        c with
+        steps = c.steps + 1;
+        writes = c.writes + 1;
+        rmr = c.rmr + b2i (Step.is_rmr loc);
+        rmr_dsm = c.rmr_dsm + b2i (not loc.Step.dsm_local);
+        rmr_cc = c.rmr_cc + b2i (not loc.Step.cc_local);
+      }
+  | Commit { loc; _ } ->
+      {
+        c with
+        steps = c.steps + 1;
+        commits = c.commits + 1;
+        rmr = c.rmr + b2i (Step.is_rmr loc);
+        rmr_dsm = c.rmr_dsm + b2i (not loc.Step.dsm_local);
+        rmr_cc = c.rmr_cc + b2i (not loc.Step.cc_local);
+      }
+  | Fence _ -> { c with steps = c.steps + 1; fences = c.fences + 1 }
+  | Return _ -> { c with steps = c.steps + 1; returns = c.returns + 1 }
+  | Cas { loc; _ } ->
+      {
+        c with
+        steps = c.steps + 1;
+        cas = c.cas + 1;
+        fences = c.fences + 1;
+        rmr = c.rmr + b2i (Step.is_rmr loc);
+        rmr_dsm = c.rmr_dsm + b2i (not loc.Step.dsm_local);
+        rmr_cc = c.rmr_cc + b2i (not loc.Step.cc_local);
+      }
+  | Rmw { loc; _ } ->
+      {
+        c with
+        steps = c.steps + 1;
+        rmw = c.rmw + 1;
+        fences = c.fences + 1;
+        rmr = c.rmr + b2i (Step.is_rmr loc);
+        rmr_dsm = c.rmr_dsm + b2i (not loc.Step.dsm_local);
+        rmr_cc = c.rmr_cc + b2i (not loc.Step.cc_local);
+      }
+
 let pp ppf c =
   Fmt.pf ppf
     "steps=%d reads=%d (wbuf %d) writes=%d fences=%d commits=%d cas=%d \

@@ -24,6 +24,11 @@ val add : counters -> counters -> counters
     differencing snapshots. *)
 val sub : counters -> counters -> counters
 
+(** [charge s c]: the counters after step [s] — one step (commits
+    included), its kind's count, and the RMRs its locality calls for; a
+    cas or strong RMW also counts as a fence; a note costs nothing. *)
+val charge : Step.t -> counters -> counters
+
 val pp : counters Fmt.t
 
 type t = counters Pid.Map.t

@@ -29,9 +29,16 @@ let[@inline] locality ~dsm_local ~cc_local =
   else if cc_local then loc_rl
   else loc_rr
 
+(** Fully local: never an RMR in any model. *)
+let local = loc_ll
+
 type t =
   | Read of { p : Pid.t; reg : Reg.t; value : int; from_wbuf : bool; loc : locality }
-  | Write of { p : Pid.t; reg : Reg.t; value : int }
+  | Write of { p : Pid.t; reg : Reg.t; value : int; loc : locality }
+      (** [loc]: the locality the write itself is charged — a commit's
+          under RA/SRA, where the write lands in the log at once; fully
+          local ({!local}) for a buffered or SC write, whose cost is
+          its commit step's *)
   | Fence of { p : Pid.t }
   | Commit of { p : Pid.t; reg : Reg.t; value : int; loc : locality }
   | Cas of {
@@ -70,7 +77,7 @@ let pp ppf = function
       Fmt.pf ppf "p%a: read  %a -> %d%s%s" Pid.pp p Reg.pp reg value
         (if from_wbuf then " (wbuf)" else "")
         (if is_rmr loc then " [RMR]" else "")
-  | Write { p; reg; value } -> Fmt.pf ppf "p%a: write %a := %d" Pid.pp p Reg.pp reg value
+  | Write { p; reg; value; _ } -> Fmt.pf ppf "p%a: write %a := %d" Pid.pp p Reg.pp reg value
   | Fence { p } -> Fmt.pf ppf "p%a: fence" Pid.pp p
   | Commit { p; reg; value; loc } ->
       Fmt.pf ppf "p%a: commit %a := %d%s" Pid.pp p Reg.pp reg value

@@ -15,9 +15,16 @@ val is_rmr : locality -> bool
     hot paths should prefer this over a record literal. *)
 val locality : dsm_local:bool -> cc_local:bool -> locality
 
+(** Fully local (both senses): never an RMR. *)
+val local : locality
+
 type t =
   | Read of { p : Pid.t; reg : Reg.t; value : int; from_wbuf : bool; loc : locality }
-  | Write of { p : Pid.t; reg : Reg.t; value : int }
+  | Write of { p : Pid.t; reg : Reg.t; value : int; loc : locality }
+      (** [loc]: the locality the write itself is charged — a commit's
+          under RA/SRA, where the write lands in the log at once; fully
+          local ({!local}) for a buffered or SC write, whose cost is
+          its commit step's *)
   | Fence of { p : Pid.t }
   | Commit of { p : Pid.t; reg : Reg.t; value : int; loc : locality }
   | Cas of {

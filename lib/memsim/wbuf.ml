@@ -63,6 +63,8 @@ let overtaken_bits t =
   List.fold_right (fun e () -> feed e) t.rback ();
   !bits
 
+let mark e = if e.overtaken then e else { e with overtaken = true }
+
 (** Mark every pending entry overtaken: the owner is about to execute
     an operation while they are still uncommitted (the write→op
     reordering TSO and PSO both allow). No-op (and no allocation) when
@@ -71,7 +73,6 @@ let overtaken_bits t =
 let overtake_all t =
   if t.ot = t.size then t
   else
-    let mark e = if e.overtaken then e else { e with overtaken = true } in
     {
       t with
       front = List.map mark t.front;
@@ -83,22 +84,26 @@ let overtake_all t =
     buffer (register ids are non-negative). *)
 let no_entry = { reg = -1; value = 0; overtaken = false }
 
+(* The list walks below are top-level functions taking the register as
+   an argument: a local [let rec] closing over it would allocate a
+   closure on every probe, and these run once or more per step. *)
+
+(* The first [r] entry of a list, or {!no_entry}. *)
+let rec first_entry r = function
+  | [] -> no_entry
+  | e :: rest -> if Reg.equal e.reg r then e else first_entry r rest
+
+(* The last [r] entry of a list, or [acc]. *)
+let rec last_entry r acc = function
+  | [] -> acc
+  | e :: rest -> last_entry r (if Reg.equal e.reg r then e else acc) rest
+
 (** Newest pending entry for [r], or (physically) {!no_entry} — the
     allocation-free probe behind {!find}, for hot paths that run once
     per read/spin step. *)
 let find_entry t r =
-  let rec first = function
-    | [] -> no_entry
-    | e :: rest -> if Reg.equal e.reg r then e else first rest
-  in
-  let e = first t.rback in
-  if e != no_entry then e
-  else
-    let rec last acc = function
-      | [] -> acc
-      | e :: rest -> last (if Reg.equal e.reg r then e else acc) rest
-    in
-    last no_entry t.front
+  let e = first_entry r t.rback in
+  if e != no_entry then e else last_entry r no_entry t.front
 
 (** Newest pending value for [r], if any — the value a read by the owner
     must return (store forwarding), under every buffered model. *)
@@ -108,26 +113,46 @@ let find t r =
 
 let mem t r = find_entry t r != no_entry
 
+(** Oldest pending entry for [r], or (physically) {!no_entry} — the
+    entry {!commit} removes, probed without allocating. *)
+let oldest_entry t r =
+  let e = first_entry r t.front in
+  if e != no_entry then e else last_entry r no_entry t.rback
+
+(* A list without its [r] entries — physically the list when it has
+   none. *)
+let rec without r = function
+  | [] -> []
+  | e :: rest as l ->
+      let rest' = without r rest in
+      if Reg.equal e.reg r then rest'
+      else if rest' == rest then l
+      else e :: rest'
+
+let rec count_reg r = function
+  | [] -> 0
+  | e :: rest -> (if Reg.equal e.reg r then 1 else 0) + count_reg r rest
+
+let rec count_overtaken_reg r = function
+  | [] -> 0
+  | e :: rest ->
+      (if Reg.equal e.reg r && e.overtaken then 1 else 0)
+      + count_overtaken_reg r rest
+
 (** Unordered-buffer write: replace any pending write to the same
     register (the paper's [WB_p - {(R,_)} ∪ {(R,x)}]); the entry moves
     to the logical back, as with the former filter-and-append. *)
 let write_replace t r v =
-  let removed = ref 0 and removed_ot = ref 0 in
-  let keep e =
-    if Reg.equal e.reg r then begin
-      incr removed;
-      if e.overtaken then incr removed_ot;
-      false
-    end
-    else true
+  let e = find_entry t r in
+  let front, rback =
+    if e == no_entry then (t.front, t.rback)
+    else (without r t.front, without r t.rback)
   in
-  let front = List.filter keep t.front in
-  let rback = List.filter keep t.rback in
   {
     front;
     rback = { reg = r; value = v; overtaken = false } :: rback;
-    size = t.size - !removed + 1;
-    ot = t.ot - !removed_ot;
+    size = t.size - count_reg r t.front - count_reg r t.rback + 1;
+    ot = t.ot - count_overtaken_reg r t.front - count_overtaken_reg r t.rback;
   }
 
 (** FIFO write: append, keeping duplicates, for TSO. O(1). *)
@@ -180,43 +205,59 @@ let take t r =
               } )
       | None -> None)
 
+(* The list (oldest first) without its first [r] entry, every entry
+   before that one marked overtaken. *)
+let rec commit_front r = function
+  | [] -> []
+  | e :: rest -> if Reg.equal e.reg r then rest else mark e :: commit_front r rest
+
+(* Unflagged entries before the first [r] entry (all of them when there
+   is none) — what {!commit_front} newly marks. *)
+let rec unmarked_before r = function
+  | [] -> 0
+  | e :: rest ->
+      if Reg.equal e.reg r then 0
+      else (if e.overtaken then 0 else 1) + unmarked_before r rest
+
 (** Like {!take}, but additionally marks every entry {e older} than the
     removed one as overtaken — a younger write just committed past
-    them. The executor's commit path; {!take} keeps the historical
-    flag-neutral semantics for direct buffer surgery (tests, tools).
-    Committing the oldest entry marks nothing (and, if that entry was
-    itself overtaken, {e reduces} the in-flight count) — draining
-    oldest-first is always budget-free, so a reorder bound can never
-    wedge a fence. *)
+    them — and returns the new buffer alone (read the committed value
+    with {!oldest_entry} first). The executor's commit path; {!take}
+    keeps the historical flag-neutral semantics for direct buffer
+    surgery (tests, tools). Committing the oldest entry marks nothing
+    (and, if that entry was itself overtaken, {e reduces} the in-flight
+    count) — draining oldest-first is always budget-free, so a reorder
+    bound can never wedge a fence. *)
 let commit t r =
-  let nmarked = ref 0 in
-  let mark e =
-    if e.overtaken then e
-    else begin
-      incr nmarked;
-      { e with overtaken = true }
-    end
-  in
-  let rec remove acc = function
-    | [] -> None
-    | e :: rest ->
-        if Reg.equal e.reg r then Some (e, List.rev_append acc rest)
-        else remove (mark e :: acc) rest
-  in
-  let new_ot (e : entry) = t.ot + !nmarked - if e.overtaken then 1 else 0 in
-  match remove [] t.front with
-  | Some (e, front) ->
-      Some (e.value, { t with front; size = t.size - 1; ot = new_ot e })
-  | None -> (
-      nmarked := 0;
-      match remove [] (List.rev t.rback) with
-      | Some (e, back) ->
-          (* the whole front is older than the removed back entry *)
-          let front = List.map mark t.front @ back in
-          Some
-            ( e.value,
-              { front; rback = []; size = t.size - 1; ot = new_ot e } )
-      | None -> None)
+  let e = oldest_entry t r in
+  if e == no_entry then Fmt.invalid_arg "Wbuf.commit: no pending write to %d" r;
+  let retired = if e.overtaken then 1 else 0 in
+  if first_entry r t.front != no_entry then
+    {
+      t with
+      front = commit_front r t.front;
+      size = t.size - 1;
+      ot = t.ot + unmarked_before r t.front - retired;
+    }
+  else
+    (* the whole front is older than the committed back entry *)
+    let back = List.rev t.rback in
+    {
+      front = List.map mark t.front @ commit_front r back;
+      rback = [];
+      size = t.size - 1;
+      ot = t.ot + unmarked_before r t.front + unmarked_before r back - retired;
+    }
+
+let rec max_below bound m = function
+  | [] -> m
+  | e :: rest ->
+      max_below bound (if e.reg < bound && e.reg > m then e.reg else m) rest
+
+(** The largest register below [bound] with a pending write, or [-1]:
+    descending from [max_int], the distinct buffered registers without
+    building a list. *)
+let max_reg_below t bound = max_below bound (max_below bound (-1) t.front) t.rback
 
 (* The back list's entries oldest first: the deepest element is
    applied first. Top-level, so a fold allocates no closure. *)
@@ -234,21 +275,6 @@ let fold f acc t = fold_back f (List.fold_left f acc t.front) t.rback
 let regs t =
   let add s e = Reg.Set.add e.reg s in
   List.fold_left add (List.fold_left add Reg.Set.empty t.front) t.rback
-
-(** Distinct registers with a pending write, in increasing register
-    order — the PSO/RMO commit-candidate enumeration, without building
-    an intermediate set. *)
-let distinct_regs_sorted t =
-  match (t.front, t.rback) with
-  | [], [] -> []
-  | [ e ], [] | [], [ e ] -> [ e.reg ]
-  | _ ->
-      let rs =
-        List.rev_append
-          (List.rev_map (fun e -> e.reg) t.front)
-          (List.rev_map (fun e -> e.reg) (List.rev t.rback))
-      in
-      List.sort_uniq Reg.compare rs
 
 let smallest_reg t =
   let min acc e =

@@ -64,11 +64,22 @@ val head : t -> entry option
 val take : t -> Reg.t -> (int * t) option
 
 (** Like {!take}, but marks every entry older than the removed one as
-    overtaken (a younger write committed past them) — the executor's
-    commit path. Committing the oldest entry marks nothing and may
-    {e reduce} the in-flight count, so oldest-first drains are always
-    budget-free. *)
-val commit : t -> Reg.t -> (int * t) option
+    overtaken (a younger write committed past them) and returns the new
+    buffer alone — read the committed value with {!oldest_entry}. The
+    executor's commit path. Committing the oldest entry marks nothing
+    and may {e reduce} the in-flight count, so oldest-first drains are
+    always budget-free. Raises [Invalid_argument] when nothing is
+    pending for the register. *)
+val commit : t -> Reg.t -> t
+
+(** Oldest pending entry for the register — the one {!commit} removes —
+    or (physically) {!no_entry}. Allocation-free. *)
+val oldest_entry : t -> Reg.t -> entry
+
+(** The largest register strictly below the bound with a pending write,
+    or [-1]. Iterating it from [max_int] enumerates the distinct
+    buffered registers in decreasing order without allocating. *)
+val max_reg_below : t -> Reg.t -> Reg.t
 
 (** Fold over entries, oldest first, without materializing a list and,
     for a closed function over an immediate accumulator, without
@@ -77,9 +88,6 @@ val fold : ('a -> entry -> 'a) -> 'a -> t -> 'a
 
 (** Distinct registers with a pending write. *)
 val regs : t -> Reg.Set.t
-
-(** Distinct registers with a pending write, in increasing order. *)
-val distinct_regs_sorted : t -> Reg.t list
 
 val smallest_reg : t -> Reg.t option
 

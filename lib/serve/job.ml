@@ -283,20 +283,23 @@ let run ?sink ?checkpoint ?on_checkpoint (t : t) : outcome =
             (fun p -> if Sys.file_exists p then Sys.remove p)
             ckpt_path;
           {
-            ok = v.Verify.Mutex_check.holds;
+            ok = Verify.Mutex_check.established v;
             summary = Fmt.str "%a" Verify.Mutex_check.pp_verdict v;
             fields =
               tag
-                [
-                  ("lock", S c.lock);
-                  ("model", S (Memory_model.to_string c.model));
-                  ("nprocs", I c.nprocs);
-                  ("holds", B v.Verify.Mutex_check.holds);
-                  ("states", I v.Verify.Mutex_check.stats.Explore.states);
-                  ( "transitions",
-                    I v.Verify.Mutex_check.stats.Explore.transitions );
-                  ("truncated", B v.Verify.Mutex_check.stats.Explore.truncated);
-                ];
+                (Telemetry.Sink.
+                   [
+                     ("lock", S c.lock);
+                     ("model", S (Memory_model.to_string c.model));
+                     ("nprocs", I c.nprocs);
+                     ("holds", B (Verify.Mutex_check.established v));
+                     ("states", I v.Verify.Mutex_check.stats.Explore.states);
+                     ( "transitions",
+                       I v.Verify.Mutex_check.stats.Explore.transitions );
+                     ( "truncated",
+                       B v.Verify.Mutex_check.stats.Explore.truncated );
+                   ]
+                @ Verify.Mutex_check.truncated_fields v);
           })
   | Litmus l -> (
       let models, sweeping =

@@ -39,21 +39,36 @@ type verdict = {
   stats : Explore.stats;
 }
 
+(** The verdict in words. A clean pass over part of the state space —
+    a run cut short by a cap (truncated), or a reorder-bounded run below
+    saturation — is a subset verdict and never reads plain OK. *)
+let verdict_text v =
+  if v.holds then
+    let truncated = v.stats.Explore.truncated in
+    match v.reorder_bound with
+    | Some k when not v.bound_exact ->
+        Fmt.str "NO VIOLATION FOUND (reorder-bound %d%s subset)" k
+          (if truncated then ", truncated" else "")
+    | _ -> if truncated then "NO VIOLATION FOUND (truncated subset)" else "OK"
+  else if v.me_violation <> None then "MUTUAL EXCLUSION VIOLATED"
+  else if v.deadlock <> None then "DEADLOCK"
+  else "LOST UPDATE"
+
+(** [holds] as machine-readable records report it: a truncated run
+    establishes nothing, so its clean pass reports [false]. *)
+let established v = v.holds && not v.stats.Explore.truncated
+
+(** The fields a record adds for a truncated run: its verdict in words.
+    None for any other run, whose records stay as they were. *)
+let truncated_fields v =
+  if v.stats.Explore.truncated then
+    [ ("verdict", Telemetry.Sink.S (verdict_text v)) ]
+  else []
+
 let pp_verdict ppf v =
   Fmt.pf ppf "%-24s %-4s n=%d rounds=%d: %s (%d states%s)" v.lock_name
     (Memory_model.to_string v.model)
-    v.nprocs v.rounds
-    (if v.holds then
-       (* honest accounting: a clean pass below saturation is a subset
-          verdict and must never print as a plain OK *)
-       match v.reorder_bound with
-       | Some k when not v.bound_exact ->
-           Fmt.str "NO VIOLATION FOUND (reorder-bound %d subset)" k
-       | _ -> "OK"
-     else if v.me_violation <> None then "MUTUAL EXCLUSION VIOLATED"
-     else if v.deadlock <> None then "DEADLOCK"
-     else "LOST UPDATE")
-    v.stats.Explore.states
+    v.nprocs v.rounds (verdict_text v) v.stats.Explore.states
     (if v.stats.Explore.truncated then ", truncated" else "")
 
 (** Monitor: the set of processes currently inside a critical section;

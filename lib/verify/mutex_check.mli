@@ -31,6 +31,21 @@ type verdict = {
   stats : Explore.stats;
 }
 
+(** The verdict in words: ["OK"] only for a complete, exact pass; a
+    clean pass that covers a subset of the state space — truncated by a
+    cap, or reorder-bounded below saturation — reads
+    ["NO VIOLATION FOUND (… subset)"]; otherwise the violation found. *)
+val verdict_text : verdict -> string
+
+(** [holds] as machine-readable records (NDJSON run records, serve
+    [job_done]) report it: [false] for a truncated run, which
+    establishes nothing even when it found no violation. *)
+val established : verdict -> bool
+
+(** Extra record fields for a truncated run — [("verdict", S text)] —
+    and none for any other, whose records are unchanged. *)
+val truncated_fields : verdict -> (string * Telemetry.Sink.value) list
+
 val pp_verdict : verdict Fmt.t
 
 (** Critical-section occupancy monitor over ["cs:enter"]/["cs:exit"]

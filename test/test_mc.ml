@@ -458,6 +458,54 @@ let claim_set_is_reachable_set () =
     ~monitor:(fun () _ -> Ok ())
     ~init:() fuzz_cfg
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A run cut short by its state cap found no violation in a subset of
+   the state space: it reads NO VIOLATION FOUND, never OK, and its
+   records report holds = false with the verdict in words. The cap is
+   enforced per claim: a capped run ends at exactly the cap, at any
+   j. An untruncated run keeps its plain OK and adds no field. *)
+let truncated_check_is_a_subset_verdict () =
+  let bakery = Option.get (Locks.Registry.find "bakery") in
+  let check jobs max_states =
+    Verify.Mutex_check.check ~engine:(`Parallel jobs) ~max_states
+      ~model:Memory_model.Pso bakery ~nprocs:3
+  in
+  List.iter
+    (fun (jobs, cap) ->
+      let v = check jobs cap in
+      let states = v.Verify.Mutex_check.stats.Explore.states in
+      let label = Fmt.str "j=%d cap=%d" jobs cap in
+      Alcotest.(check bool) (label ^ ": truncated") true
+        v.Verify.Mutex_check.stats.Explore.truncated;
+      Alcotest.(check bool) (label ^ ": no violation") true
+        v.Verify.Mutex_check.holds;
+      Alcotest.(check int) (label ^ ": states = cap") cap states;
+      Alcotest.(check string) (label ^ ": verdict")
+        "NO VIOLATION FOUND (truncated subset)"
+        (Verify.Mutex_check.verdict_text v);
+      Alcotest.(check bool) (label ^ ": not established") false
+        (Verify.Mutex_check.established v);
+      Alcotest.(check bool) (label ^ ": verdict field") true
+        (Verify.Mutex_check.truncated_fields v
+        = [ ("verdict", Telemetry.Sink.S "NO VIOLATION FOUND (truncated subset)") ]);
+      let line = Fmt.str "%a" Verify.Mutex_check.pp_verdict v in
+      Alcotest.(check bool) (label ^ ": never OK: " ^ line) false
+        (contains line ": OK"))
+    [ (1, 1000); (1, 999); (2, 1000); (2, 1001) ];
+  let v =
+    Verify.Mutex_check.check ~model:Memory_model.Pso
+      (Option.get (Locks.Registry.find "peterson")) ~nprocs:2
+  in
+  Alcotest.(check string) "complete run: OK" "OK" (Verify.Mutex_check.verdict_text v);
+  Alcotest.(check bool) "complete run: established" true
+    (Verify.Mutex_check.established v);
+  Alcotest.(check bool) "complete run: no extra field" true
+    (Verify.Mutex_check.truncated_fields v = [])
+
 let suite =
   ( "mc",
     [
@@ -481,4 +529,6 @@ let suite =
         fingerprint_matches_key_equality;
       Alcotest.test_case "claim set is the reachable set" `Quick
         claim_set_is_reachable_set;
+      Alcotest.test_case "truncated check is a subset verdict" `Quick
+        truncated_check_is_a_subset_verdict;
     ] )

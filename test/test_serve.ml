@@ -419,6 +419,59 @@ let spool_processing () =
     (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A capped check job reports an honest partial verdict in its
+   job_done record: holds false, the verdict in words, and ok false;
+   an untruncated job's record keeps exactly its old fields. *)
+let truncated_job_done () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "serve_truncated_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let oc = open_out (Filename.concat dir "batch.job") in
+  output_string oc
+    ({|{"job":"check","id":"t1","lock":"bakery","model":"PSO","nprocs":3,"max_states":1000}|}
+   ^ "\n"
+   ^ {|{"job":"check","id":"t2","lock":"ttas","model":"SC","nprocs":2}|}
+   ^ "\n");
+  close_out oc;
+  let stats = Filename.concat dir "serve.ndjson" in
+  let r = Serve.Daemon.run ~window:1 ~stats_out:stats (`Spool dir) in
+  Alcotest.(check int) "accepted" 2 r.Serve.Daemon.accepted;
+  Alcotest.(check int) "the truncated job is not ok" 1 r.Serve.Daemon.failed;
+  let done_record id =
+    let prefix = Fmt.str {|{"type":"job_done","job_id":"%s"|} id in
+    match
+      List.find_opt
+        (fun l ->
+          String.length l >= String.length prefix
+          && String.sub l 0 (String.length prefix) = prefix)
+        (String.split_on_char '\n' (read_file stats))
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no job_done record for %s" id
+  in
+  Alcotest.(check string) "truncated job_done"
+    ({|{"type":"job_done","job_id":"t1","lock":"bakery","model":"PSO","nprocs":3,|}
+    ^ {|"holds":false,"states":1000,"transitions":1900,"truncated":true,|}
+    ^ {|"verdict":"NO VIOLATION FOUND (truncated subset)","ok":false}|})
+    (done_record "t1");
+  let head =
+    {|{"type":"job_done","job_id":"t2","lock":"ttas","model":"SC","nprocs":2,"holds":true,"states":|}
+  in
+  Alcotest.(check string) "untruncated job_done" head
+    (String.sub (done_record "t2") 0 (String.length head));
+  Alcotest.(check bool) "untruncated job_done has no verdict field" false
+    (let l = done_record "t2" in
+     let rec has i =
+       i + 9 <= String.length l && (String.sub l i 9 = {|"verdict"|} || has (i + 1))
+     in
+     has 0);
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* --- atlas --------------------------------------------------------- *)
 
 let atlas_shape () =
@@ -486,6 +539,8 @@ let suite =
         backpressure;
       Alcotest.test_case "daemon: spool pass, rejects, done markers" `Slow
         spool_processing;
+      Alcotest.test_case "daemon: a truncated check is a partial verdict"
+        `Quick truncated_job_done;
       Alcotest.test_case "atlas: shape, accounting, Pareto, determinism"
         `Slow atlas_shape;
     ] )

@@ -187,6 +187,83 @@ let arb_lazy_case =
 let metrics_equal a b =
   Pid.Map.equal ( = ) (Config.metrics a) (Config.metrics b)
 
+(* An eagerly built reference for what a delta's steps do to the
+   stepped process's history — observation log, op count, counters and
+   the (register, value) pairs its CC cache learns — spelled out step
+   by step, independently of [Config.apply]'s fold and of
+   [Metrics.charge]. *)
+let eager_history (st : Config.pstate) steps =
+  let b = Bool.to_int in
+  let rmr (loc : Step.locality) (c : Metrics.counters) =
+    {
+      c with
+      Metrics.rmr = c.Metrics.rmr + b (Step.is_rmr loc);
+      rmr_dsm = c.Metrics.rmr_dsm + b (not loc.Step.dsm_local);
+      rmr_cc = c.Metrics.rmr_cc + b (not loc.Step.cc_local);
+    }
+  in
+  List.fold_left
+    (fun (obs, ops, learned, (c : Metrics.counters)) (s : Step.t) ->
+      let c =
+        if Step.is_model_step s then { c with Metrics.steps = c.Metrics.steps + 1 }
+        else c
+      in
+      match s with
+      | Read { reg; value; from_wbuf; loc; _ } ->
+          ( value :: obs,
+            ops + 1,
+            (reg, value) :: learned,
+            rmr loc
+              {
+                c with
+                Metrics.reads = c.Metrics.reads + 1;
+                reads_from_wbuf = c.Metrics.reads_from_wbuf + b from_wbuf;
+              } )
+      | Write { reg; value; loc; _ } ->
+          ( obs,
+            ops + 1,
+            (reg, value) :: learned,
+            rmr loc { c with Metrics.writes = c.Metrics.writes + 1 } )
+      | Commit { loc; _ } ->
+          (obs, ops, learned, rmr loc { c with Metrics.commits = c.Metrics.commits + 1 })
+      | Fence _ -> (obs, ops + 1, learned, { c with Metrics.fences = c.Metrics.fences + 1 })
+      | Cas { reg; read; success; update; loc; _ } ->
+          ( b success :: read :: obs,
+            ops + 1,
+            (if success then [ (reg, update) ] else []) @ ((reg, read) :: learned),
+            rmr loc
+              { c with Metrics.cas = c.Metrics.cas + 1; fences = c.Metrics.fences + 1 }
+          )
+      | Rmw { reg; read; wrote; loc; _ } ->
+          ( read :: obs,
+            ops + 1,
+            (reg, wrote) :: (reg, read) :: learned,
+            rmr loc
+              { c with Metrics.rmw = c.Metrics.rmw + 1; fences = c.Metrics.fences + 1 }
+          )
+      | Return _ ->
+          (obs, ops + 1, learned, { c with Metrics.returns = c.Metrics.returns + 1 })
+      | Note _ -> (obs, ops, learned, c))
+    (st.Config.obs, st.Config.ops, [], st.Config.ctr)
+    steps
+
+(* [child]'s state of the process [d] stepped from [cfg] is the eager
+   reference: same observation log, op count and counters, and a CC
+   cache that is the old one plus exactly the learned pairs. *)
+let history_matches cfg (d : Config.delta) child =
+  let p = d.Config.pid in
+  let old = Config.pstate cfg p and st = Config.pstate child p in
+  let obs, ops, learned, ctr = eager_history old d.Config.steps in
+  st.Config.obs = obs && st.Config.ops = ops && st.Config.ctr = ctr
+  && List.for_all
+       (fun r ->
+         Config.Int_set.equal
+           (Config.known_values st r)
+           (List.fold_left
+              (fun acc (r', v) -> if r' = r then Config.Int_set.add v acc else acc)
+              (Config.known_values old r) learned))
+       (List.init (Layout.nregs cfg.Config.layout) Fun.id)
+
 (* Along an arbitrary schedule over a normalized configuration (an
    engine successor element for [i >= 0], the raw op element of
    process [-i mod n] otherwise — no-ops included):
@@ -195,7 +272,8 @@ let metrics_equal a b =
      exactly what the delta changes;
    - the settled delta's key ([Fingerprint.step]) is [of_config] of the
      applied child, which is the eagerly flushed child, with the same
-     notes;
+     notes, and the applied child's observation log, op count, CC cache
+     and counters are the eager reference's ({!history_matches});
    - the O(1) bounded-run updates ([Config.reorders_after],
      [Fingerprint.budget_step]) agree with their recomputations. *)
 let prop_lazy_child_eq_eager =
@@ -236,22 +314,93 @@ let prop_lazy_child_eq_eager =
                           (Mc.Fingerprint.budget_term cfg) cfg d)
                        (Mc.Fingerprint.budget_term cfg')
                 in
-                let notes, settled = Exec.settle d in
+                let notes = Exec.settle cfg d in
                 let eager_notes, child, _ = Exec.flush_labels_d cfg' in
-                let key = Mc.Fingerprint.step fp cfg settled in
-                let lazy_child = Config.apply cfg settled in
+                let key = Mc.Fingerprint.step fp cfg d in
+                let lazy_child = Config.apply cfg d in
                 let lazy_ok =
                   notes = eager_notes
-                  && (not (Exec.unsettled settled))
+                  && (not (Exec.unsettled d))
                   && Mc.Fingerprint.equal key (Mc.Fingerprint.of_config child)
                   && String.equal
                        (Statekey.to_string lazy_child)
                        (Statekey.to_string child)
                   && metrics_equal lazy_child child
+                  && history_matches cfg d lazy_child
                 in
                 eager_ok && bounded_ok && lazy_ok && go child key rest)
       in
       go cfg0 (Mc.Fingerprint.of_config cfg0) sched)
+
+(* ---- Step into scratch --------------------------------------------
+
+   The engine steps every child into its worker's one scratch delta
+   and copies out claim winners only. A child built from the delta
+   must not change when the next one is stepped into it. Along a random
+   walk under each of the six models, each expansion follows one of
+   the engine's paths with a single delta shared by the whole walk —
+   plain (every successor element), bounded (the elements a reorder
+   budget admits) or POR (every ample candidate probed into the delta
+   first, then the elements) — and every child built from the delta
+   keeps, to the end of its expansion, the key, fingerprint, metrics,
+   observation logs, op counts and CC caches it was built with, which
+   are also those of the same child stepped into a fresh delta. *)
+let snapshot cfg =
+  let nregs = Layout.nregs cfg.Config.layout in
+  ( Statekey.to_string cfg,
+    Mc.Fingerprint.of_config cfg,
+    Pid.Map.bindings (Config.metrics cfg),
+    Array.map
+      (fun (st : Config.pstate) ->
+        ( st.Config.obs,
+          st.Config.ops,
+          List.init nregs (fun r ->
+              Config.Int_set.elements (Config.known_values st r)) ))
+      cfg.Config.procs )
+
+let prop_scratch_children_stay =
+  QCheck.Test.make ~name:"scratch delta: built children never change"
+    ~count:200 arb_lazy_case (fun (src, model_ix, sched) ->
+      let model = List.nth Memory_model.all model_ix in
+      let _, cfg0 = Exec.flush_labels (source_cfg src model) in
+      let d = Config.scratch () in
+      let rec go cfg = function
+        | [] -> true
+        | i :: rest -> (
+            let elts = Explore.successor_elts cfg in
+            let path = abs i mod 3 and budget = abs i mod 2 in
+            if path = 2 then
+              List.iter
+                (fun p -> Exec.step_into d cfg cfg.Config.op_elts.(p))
+                (Mc.Por.ample_candidates cfg);
+            let in_flight = Config.reorders_in_flight cfg in
+            let built =
+              List.filter_map
+                (fun e ->
+                  Exec.step_into d cfg e;
+                  if path = 1 && Config.reorders_after in_flight cfg d > budget
+                  then None
+                  else begin
+                    ignore (Exec.settle cfg d);
+                    let child = Config.apply cfg d in
+                    let _, fresh = Exec.exec_elt cfg e in
+                    let _, fresh = Exec.flush_labels fresh in
+                    Some (child, snapshot child, snapshot fresh)
+                  end)
+                elts
+            in
+            List.for_all
+              (fun (child, at_build, fresh) ->
+                snapshot child = at_build && at_build = fresh)
+              built
+            &&
+            match built with
+            | [] -> true
+            | _ ->
+                let child, _, _ = List.nth built (abs i mod List.length built) in
+                go child rest)
+      in
+      go cfg0 sched)
 
 let suite =
   ( "statekey",
@@ -261,4 +410,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_lanes_incremental_eq_scratch;
       QCheck_alcotest.to_alcotest prop_fingerprint_update_eq_of_config;
       QCheck_alcotest.to_alcotest prop_lazy_child_eq_eager;
+      QCheck_alcotest.to_alcotest prop_scratch_children_stay;
     ] )

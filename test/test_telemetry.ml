@@ -323,6 +323,56 @@ let sampler_ndjson_shape () =
   Alcotest.(check bool) "visited_bytes gauge is live" true
     (Option.get (Telemetry.Hub.read tel "visited_bytes") > 0.)
 
+(* The CLI end to end on a capped check: the human line and the NDJSON
+   run record both give the honest partial verdict, and the run still
+   exits 0 (no violation was found); the same check uncapped keeps its
+   plain OK and a record with no verdict field. *)
+let cli_truncated_check () =
+  let exe =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+      (Filename.concat "bin" "fencelab_cli.exe")
+  in
+  let stats = Filename.temp_file "cli_truncated" ".ndjson" in
+  let run args =
+    let ic =
+      Unix.open_process_args_in exe
+        (Array.of_list ((exe :: "check" :: args) @ [ "--stats-out"; stats ]))
+    in
+    let out = In_channel.input_all ic in
+    (out, Unix.close_process_in ic)
+  in
+  let read_run_record () =
+    In_channel.with_open_text stats In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find (fun l ->
+           String.length l > 14 && String.sub l 0 14 = {|{"type":"run",|})
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let out, status =
+    run [ "bakery"; "-m"; "PSO"; "-n"; "3"; "--max-states"; "1000" ]
+  in
+  Alcotest.(check bool) "capped: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) ("capped: subset verdict: " ^ out) true
+    (contains out ": NO VIOLATION FOUND (truncated subset) (1000 states, truncated)");
+  Alcotest.(check bool) "capped: never OK" false (contains out ": OK");
+  let record = read_run_record () in
+  Alcotest.(check bool) ("capped record: " ^ record) true
+    (contains record {|"holds":false,"states":1000,|}
+    && contains record {|"verdict":"NO VIOLATION FOUND (truncated subset)"|});
+  let out, status = run [ "peterson"; "-m"; "PSO"; "-n"; "2" ] in
+  Alcotest.(check bool) "complete: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) ("complete: OK: " ^ out) true
+    (contains out ": OK (973 states)");
+  let record = read_run_record () in
+  Alcotest.(check bool) ("complete record: " ^ record) true
+    (contains record {|"holds":true,|} && not (contains record {|"verdict"|}));
+  Sys.remove stats
+
 let suite =
   ( "telemetry",
     [
@@ -341,4 +391,6 @@ let suite =
       Alcotest.test_case "sink: golden record bytes" `Quick sink_golden_record;
       Alcotest.test_case "sampler: NDJSON schema end to end" `Quick
         sampler_ndjson_shape;
+      Alcotest.test_case "cli: a truncated check is a partial verdict" `Quick
+        cli_truncated_check;
     ] )
