@@ -83,12 +83,15 @@ synth-smoke:
 # small checkpoint interval, one litmus cell, and the full GT_f/Count
 # atlas sweep over n in {2..64} — through `fencelab serve` twice.
 # Leg 1 kills itself (exit 70, asserted) right after the check job's
-# first checkpoint is persisted, orphaning c1.ckpt; leg 2 restarts on
-# the same spool, skips the jobs whose .done markers exist, resumes
-# the check from the cut, and must land the same verdict and exact
-# state/transition counts as an uninterrupted run (the equivalence is
-# pinned by test/test_serve.ml; here we assert the resume record and
-# clean completion). The two NDJSON streams and the atlas JSON are CI
+# first checkpoint is persisted, orphaning the head c1.ckpt and its key
+# log c1.ckpt.keys. A few bytes are then appended to the log, as a
+# crash in the middle of a later cut's append would leave them. Leg 2
+# restarts on the same spool, skips the jobs whose .done markers exist,
+# cuts the torn tail off, resumes the check from the head, and must
+# land the same verdict and exact state/transition counts as an
+# uninterrupted run (the equivalence is pinned by test/test_serve.ml;
+# here we assert the resume record, clean completion and that both
+# files are gone). The two NDJSON streams and the atlas JSON are CI
 # artifacts.
 serve-smoke:
 	rm -rf _serve && mkdir -p _serve
@@ -100,14 +103,15 @@ serve-smoke:
 	dune exec bin/fencelab_cli.exe -- serve --spool _serve --window 2 \
 	--checkpoint-every 400 --crash-after-checkpoints 1 \
 	--stats-out SERVE_smoke_leg1.ndjson; test $$? -eq 70
-	test -f _serve/c1.ckpt
+	test -f _serve/c1.ckpt && test -f _serve/c1.ckpt.keys
+	printf 'torn' >> _serve/c1.ckpt.keys
 	dune exec bin/fencelab_cli.exe -- serve --spool _serve --window 2 \
 	--checkpoint-every 400 --stats-out SERVE_smoke_leg2.ndjson
 	grep -q '"type":"resume","job_id":"c1"' SERVE_smoke_leg2.ndjson
 	grep '"type":"job_done","job_id":"c1"' SERVE_smoke_leg2.ndjson \
 	| grep -q '"ok":true'
 	grep -q '"type":"atlas"' SERVE_atlas.json
-	test ! -f _serve/c1.ckpt
+	test ! -f _serve/c1.ckpt && test ! -f _serve/c1.ckpt.keys
 
 doc:
 	dune build @doc

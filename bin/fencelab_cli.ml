@@ -744,7 +744,8 @@ let serve_cmd =
             "Serve jobs from $(docv): every $(b,*.job) file, one JSON spec \
              per line. Completed jobs leave $(b,<id>.done) markers and are \
              skipped on restart; an in-flight check job's \
-             $(b,<id>.ckpt) checkpoint is resumed. Without $(b,--spool), \
+             $(b,<id>.ckpt) checkpoint (with its $(b,<id>.ckpt.keys) key \
+             log) is resumed. Without $(b,--spool), \
              specs are read from stdin (one per line) until EOF.")
   in
   let window_t =
@@ -763,9 +764,10 @@ let serve_cmd =
       & opt int 25_000
       & info [ "checkpoint-every" ] ~docv:"STATES"
           ~doc:
-            "States between checkpoint cuts for check jobs (atomic \
-             write-then-rename; a killed daemon resumes from the last cut \
-             with identical verdict and counts).")
+            "States between checkpoint cuts for check jobs (each cut \
+             appends its new keys to a log and renames a small head into \
+             place; a killed daemon resumes from the last cut with \
+             identical verdict and counts).")
   in
   let checkpoint_dir_t =
     Arg.(

@@ -71,9 +71,13 @@ let rec monitor_steps monitor m = function
 
 (** A frontier-consistent cut of a running j=1 exploration, in plain
     data (no closures, no monitor values): everything a killed run
-    needs to restart from where it was. [ck_visited] holds the claim
-    keys verbatim (budget-mixed under a bound — whatever the run was
-    keying on); [ck_pending] holds the {e paths} of the
+    needs to restart from where it was. [ck_keys] holds claim keys
+    verbatim (budget-mixed under a bound — whatever the run was keying
+    on) as {!Fingerprint.write} records: an emitted cut carries only
+    the keys claimed since the run's previous cut, so a cut costs
+    O(new claims + pending), and a resume takes the concatenation of
+    every cut's keys up to the one resumed. [ck_pending] holds the
+    {e paths} of the
     claimed-but-unexpanded tasks, in-hand task first and then the deque
     in pop order, so a resume reconstructs tasks by deterministic
     replay and continues in the exact exploration order of the
@@ -85,10 +89,29 @@ type checkpoint = {
   ck_transitions : int;
   ck_bound_hits : int;
   ck_pending : Exec.elt list list;
-  ck_visited : Fingerprint.t list;
+  ck_keys : Bytes.t;
   ck_violations : (string * Exec.elt list) list;
   ck_deadlocks : Exec.elt list list;
 }
+
+(* The keys a checkpointed run claimed since its last cut, as
+   {!Fingerprint.write} records in [keys.[0 .. len-1]]. *)
+type keylog = { mutable keys : Bytes.t; mutable len : int }
+
+let log_key l key =
+  if l.len = Bytes.length l.keys then begin
+    let grown = Bytes.create (2 * l.len) in
+    Bytes.blit l.keys 0 grown 0 l.len;
+    l.keys <- grown
+  end;
+  Fingerprint.write l.keys l.len key;
+  l.len <- l.len + Fingerprint.bytes
+
+(* Hand the logged keys over to a cut and start the next one empty. *)
+let take_keys l =
+  let keys = Bytes.sub l.keys 0 l.len in
+  l.len <- 0;
+  keys
 
 (* The one child path. Every child goes through it — an expansion's
    children, each process's label run at the root, each element of a
@@ -256,7 +279,23 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
   (match resume with
   | None -> ()
   | Some c ->
-      List.iter (fun fp -> ignore (Visited.add visited fp)) c.ck_visited);
+      let n = Bytes.length c.ck_keys in
+      if n mod Fingerprint.bytes <> 0 then
+        Fmt.invalid_arg "Mc.run: resume keys of %d bytes" n;
+      for i = 0 to (n / Fingerprint.bytes) - 1 do
+        ignore
+          (Visited.add visited (Fingerprint.read c.ck_keys (i * Fingerprint.bytes)))
+      done);
+  (* A checkpointed run logs every key it newly claims — the root, each
+     winner, and a new key past the cap that stays in the set uncounted
+     — so a cut hands over only the claims since the previous one.
+     Restored keys are not logged again; without a checkpoint there is
+     no log. *)
+  let log =
+    Option.map
+      (fun _ -> { keys = Bytes.create (1024 * Fingerprint.bytes); len = 0 })
+      checkpoint
+  in
   let frontier : m task Frontier.t = Frontier.create ~workers:jobs in
   (* One scratch delta per worker: every child is stepped into its
      worker's delta, which the next step overwrites. Set-up (root,
@@ -363,13 +402,15 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
                 Fingerprint.mix fp
                   (Fingerprint.budget_step parent_budget.(w) cfg d)
           in
-          if Visited.add visited key then
+          if Visited.add visited key then begin
+            (match log with Some l -> log_key l key | None -> ());
             if Atomic.fetch_and_add states 1 < max_states then true
             else begin
               Atomic.decr states;
               Atomic.set truncated true;
               false
             end
+          end
           else begin
             Telemetry.Cells.incr c_dedup ~worker:w;
             false
@@ -544,17 +585,15 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
      other registered tasks have completed. Interval is measured in
      claimed states since the last emission. *)
   let emit_checkpoint =
-    match checkpoint with
-    | None -> fun (_ : m task) -> ()
-    | Some (every, emit) ->
+    match (checkpoint, log) with
+    | None, _ | _, None -> fun (_ : m task) -> ()
+    | Some (every, emit), Some log ->
         let last = ref (match resume with Some c -> c.ck_states | None -> 0) in
         fun (t : m task) ->
           let s = Atomic.get states in
           if s - !last >= every then begin
             last := s;
             let pending = t :: Frontier.snapshot frontier ~worker:0 in
-            let fps = ref [] in
-            Visited.iter visited (fun fp -> fps := fp :: !fps);
             emit
               {
                 ck_states = s;
@@ -562,7 +601,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
                 ck_bound_hits = Atomic.get bound_hits;
                 ck_pending =
                   List.map (fun (t : m task) -> List.rev t.rev_path) pending;
-                ck_visited = !fps;
+                ck_keys = take_keys log;
                 ck_violations =
                   List.map
                     (fun (v : m Explore.violation) ->
@@ -622,6 +661,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~report_visited ~max_states
               | Some _ -> Fingerprint.mix t.fp (Fingerprint.budget_term t.cfg)
             in
             ignore (Visited.add visited key);
+            (match log with Some l -> log_key l key | None -> ());
             Atomic.incr states;
             [ t ])
   in

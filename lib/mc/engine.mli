@@ -12,19 +12,23 @@ type engine = [ `Parallel of int ]
 
 (** A frontier-consistent cut of a [`Parallel 1] exploration, as plain
     data: every pending task as its path from the root (in pop order,
-    in-hand task first), the visited set's fingerprints, the counters
-    at the cut, and the violations/deadlocks found so far (as
-    message/path pairs). Resuming from a checkpoint replays each
-    pending path deterministically and continues with identical
-    exploration order, so a resumed run finishes with the same verdict
-    and the {e exact} same cumulative state/transition counts as the
-    uninterrupted run. *)
+    in-hand task first), claim keys, the counters at the cut, and the
+    violations/deadlocks found so far (as message/path pairs).
+    [ck_keys] is a sequence of {!Fingerprint.write} records. A cut
+    that [run] emits carries only the keys newly claimed since the
+    run's previous cut (since its start or resume for the first one),
+    so appending each cut's keys to one log keeps every claim exactly
+    once; [resume] takes the whole log up to the resumed cut. Resuming
+    from a checkpoint replays each pending path deterministically and
+    continues with identical exploration order, so a resumed run
+    finishes with the same verdict and the {e exact} same cumulative
+    state/transition counts as the uninterrupted run. *)
 type checkpoint = {
   ck_states : int;
   ck_transitions : int;
   ck_bound_hits : int;
   ck_pending : Exec.elt list list;
-  ck_visited : Fingerprint.t list;
+  ck_keys : Bytes.t;
   ck_violations : (string * Exec.elt list) list;
   ck_deadlocks : Exec.elt list list;
 }

@@ -144,3 +144,18 @@ let equal x y = x.a = y.a && x.b = y.b
 let compare x y = if x.a <> y.a then Int.compare x.a y.a else Int.compare x.b y.b
 
 let pp ppf x = Fmt.pf ppf "%016x:%016x" x.a x.b
+
+(* The 16-byte record: lane [a], then lane [b], each a little-endian
+   64-bit int. A lane is an OCaml int, so it round-trips through the
+   sign extension of [Int64.to_int]. *)
+let bytes = 16
+
+let write buf off x =
+  Bytes.set_int64_le buf off (Int64.of_int x.a);
+  Bytes.set_int64_le buf (off + 8) (Int64.of_int x.b)
+
+let read buf off =
+  {
+    a = Int64.to_int (Bytes.get_int64_le buf off);
+    b = Int64.to_int (Bytes.get_int64_le buf (off + 8));
+  }

@@ -40,3 +40,14 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val pp : t Fmt.t
+
+(** Size of a fingerprint's binary record: 16 bytes, lane [a] then
+    lane [b], each a little-endian 64-bit int — the layout of a
+    checkpoint's [ck_keys]. *)
+val bytes : int
+
+(** [write buf off fp] stores [fp]'s record at [buf.[off]]. *)
+val write : Bytes.t -> int -> t -> unit
+
+(** [read buf off] is the fingerprint whose record is at [buf.[off]]. *)
+val read : Bytes.t -> int -> t

@@ -32,9 +32,9 @@ val add : t -> Fingerprint.t -> bool
 val mem : t -> Fingerprint.t -> bool
 
 (** Iterate every stored fingerprint (shard locks taken in turn; exact
-    only when no domain is inserting) — checkpoint serialization. The
-    lanes come back with their tag bit set; {!add} maps them to the
-    same entry. *)
+    only when no domain is inserting) — for audits of the whole set.
+    The lanes come back with their tag bit set; {!add} maps them to
+    the same entry. *)
 val iter : t -> (Fingerprint.t -> unit) -> unit
 
 (** Total entries (exact only when no domain is inserting). *)

@@ -9,9 +9,9 @@
     a consumer can demultiplex by field.
 
     Crash safety is file-shaped (see the mli): [.done] markers make
-    completed jobs idempotent to replay, [.ckpt] files make the
-    in-flight check job resumable, and both are written atomically or
-    last — a daemon killed at any instant restarts into a consistent
+    completed jobs idempotent to replay, [.ckpt] heads over
+    [.ckpt.keys] logs make the in-flight check job resumable, and each
+    is written atomically, last, or append-only behind its head — a daemon killed at any instant restarts into a consistent
     spool. *)
 
 type source = [ `Stdin | `Spool of string ]

@@ -9,9 +9,10 @@
       file order, then line order);
     - [<id>.done]: written after job [id] completes (first line
       [ok]/[failed]) — a restarted daemon skips these;
-    - [<id>.ckpt]: the job's latest checkpoint (atomic rename); a
-      restarted daemon resumes the exploration from it and removes it
-      on completion. *)
+    - [<id>.ckpt] and [<id>.ckpt.keys]: the job's latest checkpoint,
+      a small JSON head (atomic rename) over an append-only key log; a
+      restarted daemon resumes the exploration from them and removes
+      both on completion. *)
 
 type source = [ `Stdin | `Spool of string ]
 

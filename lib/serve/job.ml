@@ -237,41 +237,48 @@ let run ?sink ?checkpoint ?on_checkpoint (t : t) : outcome =
             | None -> (None, None, None)
             | Some (every, dir) ->
                 let path = Filename.concat dir (t.id ^ ".ckpt") in
-                (* the file is found by id alone: the identity ties it to
-                   this exact spec, so a re-spooled id with another lock,
-                   model, n or bound starts fresh instead of resuming
-                   foreign fingerprints *)
+                (* the files are found by id alone: the identity ties them
+                   to this exact spec, so a re-spooled id with another
+                   lock, model, n or bound starts fresh instead of
+                   resuming foreign keys *)
                 let identity =
                   Checkpoint.identity ~spec:(Json.to_string (to_json t))
                 in
-                let resume =
+                let resumed =
                   if Sys.file_exists path then
                     match Checkpoint.load ~identity ~path with
-                    | Ok c ->
+                    | Ok (c, files) ->
                         emit sink ~kind:"resume"
                           (tag
                              [
                                ("states", I c.Mc.ck_states);
                                ("pending", I (List.length c.Mc.ck_pending));
                              ]);
-                        Some c
+                        Some (c, files)
                     | Error e ->
                         emit sink ~kind:"resume_error" (tag [ ("error", S e) ]);
                         None
                   else None
                 in
+                let files =
+                  match resumed with
+                  | Some (_, files) -> files
+                  | None -> Checkpoint.create ~identity ~path
+                in
                 let emit_ck (cut : Mc.checkpoint) =
-                  Checkpoint.save ~identity ~path cut;
+                  let bytes = Checkpoint.save files cut in
                   emit sink ~kind:"checkpoint"
                     (tag
                        [
                          ("states", I cut.Mc.ck_states);
                          ("transitions", I cut.Mc.ck_transitions);
                          ("pending", I (List.length cut.Mc.ck_pending));
+                         ("keys", I (Checkpoint.keys files));
+                         ("bytes", I bytes);
                        ]);
                   on_checkpoint ()
                 in
-                (Some path, resume, Some (every, emit_ck))
+                (Some path, Option.map fst resumed, Some (every, emit_ck))
           in
           let v =
             Verify.Mutex_check.check ~engine:(`Parallel 1) ~por:c.por
@@ -279,9 +286,7 @@ let run ?sink ?checkpoint ?on_checkpoint (t : t) : outcome =
               ?reorder_bound:(Option.map (fun k -> `K k) c.reorder_bound)
               ?checkpoint:ck ?resume ~model:c.model factory ~nprocs:c.nprocs
           in
-          Option.iter
-            (fun p -> if Sys.file_exists p then Sys.remove p)
-            ckpt_path;
+          Option.iter (fun path -> Checkpoint.remove ~path) ckpt_path;
           {
             ok = Verify.Mutex_check.established v;
             summary = Fmt.str "%a" Verify.Mutex_check.pp_verdict v;

@@ -66,9 +66,12 @@ type outcome = {
     here, every one tagged [job_id].
 
     [checkpoint] enables checkpoint/resume for [Check] jobs: cuts
-    every [every] states land in [dir ^ "/" ^ id ^ ".ckpt"] (atomic
-    rename), an existing file there is resumed from, and the file is
-    removed once the job completes. Checkpointed checks run on
+    every [every] states land in [dir ^ "/" ^ id ^ ".ckpt"] (the
+    atomically renamed head) and its append-only key log
+    ({!Checkpoint.log_path}); an existing head there is resumed from,
+    and both files are removed once the job completes. Each cut emits a
+    ["checkpoint"] record with the log's [keys] and the [bytes] the cut
+    wrote. Checkpointed checks run on
     [`Parallel 1] — the only engine with an exact pending cut; other
     job kinds ignore [checkpoint]. [on_checkpoint] fires after each
     cut is persisted (the smoke harness's crash hook). *)

@@ -126,31 +126,54 @@ let ack_golden () =
 let identity = Serve.Checkpoint.identity ~spec:"test"
 
 let checkpoint_golden () =
+  let keys = Bytes.create Mc.Fingerprint.bytes in
+  Mc.Fingerprint.write keys 0 { Mc.Fingerprint.a = 17; b = -4 };
   let ck =
     {
       Mc.ck_states = 7;
       ck_transitions = 12;
       ck_bound_hits = 0;
       ck_pending = [ [ (0, None); (1, Some 3) ]; [] ];
-      ck_visited = [ { Mc.Fingerprint.a = 17; b = -4 } ];
+      ck_keys = keys;
       ck_violations = [ ("overlap", [ (1, None) ]) ];
       ck_deadlocks = [ [ (0, Some 2) ] ];
     }
   in
-  let bytes = Serve.Json.to_string (Serve.Checkpoint.to_json ~identity ck) in
+  let head =
+    Serve.Json.to_string (Serve.Checkpoint.head_to_json ~identity ~keys:1 ck)
+  in
   Alcotest.(check string)
-    "checkpoint record bytes"
-    {|{"type":"checkpoint","states":7,"transitions":12,"bound_hits":0,"pending":[[[0,null],[1,3]],[]],"visited":[[17,-4]],"violations":[{"message":"overlap","path":[[1,null]]}],"deadlocks":[[[0,2]]],"identity":"fa3a5464ee98b7120885b6414cd4a3f7"}|}
-    bytes;
-  (* file roundtrip through the atomic save path *)
+    "checkpoint head bytes"
+    {|{"type":"checkpoint","format":2,"states":7,"transitions":12,"bound_hits":0,"keys":1,"pending":[[[0,null],[1,3]],[]],"violations":[{"message":"overlap","path":[[1,null]]}],"deadlocks":[[[0,2]]],"identity":"fa3a5464ee98b7120885b6414cd4a3f7"}|}
+    head;
+  (* a log record: lane a, then lane b, each little-endian 64-bit *)
+  Alcotest.(check string)
+    "key log record bytes"
+    "\x11\x00\x00\x00\x00\x00\x00\x00\xfc\xff\xff\xff\xff\xff\xff\xff"
+    (Bytes.to_string keys);
+  (* file roundtrip: the head is renamed into place, the keys appended *)
   let path = tmpfile "serve_ckpt_golden.ckpt" in
-  Serve.Checkpoint.save ~identity ~path ck;
+  let log = Serve.Checkpoint.log_path path in
+  let files = Serve.Checkpoint.create ~identity ~path in
+  let written = Serve.Checkpoint.save files ck in
+  Alcotest.(check string) "head file" (head ^ "\n") (read_file path);
+  Alcotest.(check string) "log file" (Bytes.to_string keys) (read_file log);
+  Alcotest.(check int)
+    "bytes written = head + log append"
+    (String.length head + 1 + Mc.Fingerprint.bytes)
+    written;
   (match Serve.Checkpoint.load ~identity ~path with
   | Error e -> Alcotest.fail e
-  | Ok ck' ->
+  | Ok (ck', files') ->
       Alcotest.(check string)
-        "load(save(ck)) = ck" bytes
-        (Serve.Json.to_string (Serve.Checkpoint.to_json ~identity ck')));
+        "load(save(ck)) = ck" head
+        (Serve.Json.to_string
+           (Serve.Checkpoint.head_to_json ~identity
+              ~keys:(Serve.Checkpoint.keys files')
+              ck'));
+      Alcotest.(check string)
+        "keys read back" (Bytes.to_string keys)
+        (Bytes.to_string ck'.Mc.ck_keys));
   (* a cut saved under one identity is refused under another *)
   (match
      Serve.Checkpoint.load
@@ -159,17 +182,34 @@ let checkpoint_golden () =
    with
   | Ok _ -> Alcotest.fail "loaded a cut under a foreign identity"
   | Error _ -> ());
-  (* and a record with no identity at all is refused *)
+  (* and a head with no identity at all is refused *)
   (match
      Result.bind
        (Serve.Json.parse
-          {|{"type":"checkpoint","states":0,"transitions":0,"bound_hits":0,"pending":[],"visited":[],"violations":[],"deadlocks":[]}|})
-       (Serve.Checkpoint.of_json ~identity)
+          {|{"type":"checkpoint","format":2,"states":0,"transitions":0,"bound_hits":0,"keys":0,"pending":[],"violations":[],"deadlocks":[]}|})
+       (Serve.Checkpoint.head_of_json ~identity)
    with
   | Ok _ -> Alcotest.fail "accepted a cut without identity"
   | Error _ -> ());
-  Sys.remove path;
-  match Serve.Checkpoint.load ~identity ~path:(path ^ ".missing") with
+  (* nor one whose key count no log can hold *)
+  List.iter
+    (fun keys ->
+      match
+        Result.bind
+          (Serve.Json.parse
+             (Fmt.str
+                {|{"type":"checkpoint","format":2,"states":0,"transitions":0,"bound_hits":0,"keys":%d,"pending":[],"violations":[],"deadlocks":[],"identity":"%s"}|}
+                keys identity))
+          (Serve.Checkpoint.head_of_json ~identity)
+      with
+      | Ok _ -> Alcotest.failf "accepted a head with %d keys" keys
+      | Error _ -> ())
+    [ -1; max_int ];
+  Serve.Checkpoint.remove ~path;
+  Alcotest.(check bool)
+    "both files removed" false
+    (Sys.file_exists path || Sys.file_exists log);
+  match Serve.Checkpoint.load ~identity ~path with
   | Ok _ -> Alcotest.fail "loaded a missing checkpoint"
   | Error _ -> ()
 
@@ -186,7 +226,7 @@ let resume_equivalence () =
   in
   let dir = Filename.get_temp_dir_name () in
   let ckpt = Filename.concat dir "serve_resume_eq.ckpt" in
-  if Sys.file_exists ckpt then Sys.remove ckpt;
+  let files = Serve.Checkpoint.create ~identity ~path:ckpt in
   (* leg 2: same job, killed right after the first checkpoint lands —
      the exception unwinds out of the engine exactly like a daemon
      death after the cut is safely on disk *)
@@ -196,7 +236,7 @@ let resume_equivalence () =
           ~checkpoint:
             ( 400,
               fun c ->
-                Serve.Checkpoint.save ~identity ~path:ckpt c;
+                ignore (Serve.Checkpoint.save files c);
                 raise Killed )
           ~model factory ~nprocs:2);
      Alcotest.fail "kill did not fire (checkpoint interval too large?)"
@@ -205,7 +245,7 @@ let resume_equivalence () =
   (* leg 3: resume from the file and finish *)
   let resume =
     match Serve.Checkpoint.load ~identity ~path:ckpt with
-    | Ok c -> c
+    | Ok (c, _) -> c
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check bool)
@@ -216,7 +256,7 @@ let resume_equivalence () =
     Verify.Mutex_check.check ~engine:(`Parallel 1) ~resume ~model factory
       ~nprocs:2
   in
-  Sys.remove ckpt;
+  Serve.Checkpoint.remove ~path:ckpt;
   (* identical verdict and EXACT state/transition counts: the resumed
      exploration is the uninterrupted one, continued *)
   Alcotest.(check bool)
@@ -265,10 +305,14 @@ let job_level_resume () =
    with Killed -> ());
   Alcotest.(check bool) "first checkpoint fired" true !killed;
   let ckpt = Filename.concat dir "jr1.ckpt" in
-  Alcotest.(check bool) "orphan checkpoint left" true (Sys.file_exists ckpt);
+  let log = Serve.Checkpoint.log_path ckpt in
+  Alcotest.(check bool)
+    "orphan checkpoint left" true
+    (Sys.file_exists ckpt && Sys.file_exists log);
   let resumed = Serve.Job.run ~checkpoint:(400, dir) job in
   Alcotest.(check bool)
-    "checkpoint removed on completion" false (Sys.file_exists ckpt);
+    "checkpoint removed on completion" false
+    (Sys.file_exists ckpt || Sys.file_exists log);
   Alcotest.(check bool) "ok" uninterrupted.Serve.Job.ok resumed.Serve.Job.ok;
   let states (o : Serve.Job.outcome) =
     match List.assoc_opt "states" o.Serve.Job.fields with
@@ -340,7 +384,286 @@ let respooled_id_starts_fresh () =
   Alcotest.(check bool) "holds" true o.Serve.Job.ok;
   Alcotest.(check int) "states" 718_590 (int_field "states");
   Alcotest.(check int) "transitions" 1_883_736 (int_field "transitions");
-  Alcotest.(check bool) "stale cut removed" false (Sys.file_exists ckpt);
+  Alcotest.(check bool)
+    "stale cut removed" false
+    (Sys.file_exists ckpt || Sys.file_exists (Serve.Checkpoint.log_path ckpt));
+  Sys.remove stats;
+  Sys.rmdir dir
+
+(* --- hostile checkpoint files -------------------------------------- *)
+
+let bakery2 id =
+  {
+    Serve.Job.id;
+    spec =
+      Serve.Job.Check
+        {
+          lock = "bakery";
+          model = Memory_model.Pso;
+          nprocs = 2;
+          rounds = 1;
+          max_states = 1_000_000;
+          por = false;
+          reorder_bound = None;
+        };
+  }
+
+let int_field (o : Serve.Job.outcome) k =
+  match List.assoc_opt k o.Serve.Job.fields with
+  | Some (Telemetry.Sink.I n) -> n
+  | _ -> Alcotest.failf "no %s field" k
+
+(* The job's NDJSON records of type [kind], parsed. *)
+let records_of ~kind path =
+  String.split_on_char '\n' (read_file path)
+  |> List.filter_map (fun l ->
+         match Serve.Json.parse l with
+         | Ok j when Serve.Json.member "type" j = Some (Serve.Json.String kind)
+           ->
+             Some j
+         | _ -> None)
+
+let json_int j k =
+  match Serve.Json.member k j with
+  | Some (Serve.Json.Int n) -> n
+  | _ -> Alcotest.failf "record has no int field %s" k
+
+let append_file path s =
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+  output_string oc s;
+  close_out oc
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A cut on disk may be torn or tampered with by anything outside the
+   daemon. Whatever is found, the job ends with the uninterrupted
+   verdict and exact counts, and leaves no file behind: a torn append
+   behind the head is cut off and the resume goes on; a log shorter
+   than its head, a truncated or garbled head, and a format-1 cut (one
+   file with a visited array) are each refused with [resume_error]
+   and the job runs from scratch. *)
+let hostile_checkpoint_files () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "serve_hostile_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let job = bakery2 "hc1" in
+  let ckpt = Filename.concat dir "hc1.ckpt" in
+  let log = Serve.Checkpoint.log_path ckpt in
+  let uninterrupted = Serve.Job.run job in
+  (* run the job until its [k]-th cut is on disk *)
+  let kill_after k =
+    let cuts = ref 0 in
+    try
+      ignore
+        (Serve.Job.run ~checkpoint:(400, dir)
+           ~on_checkpoint:(fun () ->
+             incr cuts;
+             if !cuts = k then raise Killed)
+           job);
+      Alcotest.fail "kill did not fire"
+    with Killed -> ()
+  in
+  (* restart on the files, optionally killed after [kill] more cuts *)
+  let restart ?kill name =
+    let stats = Filename.concat dir "hc1.ndjson" in
+    let sink = Telemetry.Sink.create stats in
+    let cuts = ref 0 in
+    let on_checkpoint () =
+      incr cuts;
+      if Some !cuts = kill then raise Killed
+    in
+    let o =
+      try Some (Serve.Job.run ~sink ~checkpoint:(400, dir) ~on_checkpoint job)
+      with Killed -> None
+    in
+    Telemetry.Sink.close sink;
+    (* resumed keys are not logged again: the log holds each claim once *)
+    List.iter
+      (fun r ->
+        Alcotest.(check int)
+          (name ^ ": log keys = states claimed")
+          (json_int r "states") (json_int r "keys"))
+      (records_of ~kind:"checkpoint" stats);
+    let resumed = records_of ~kind:"resume" stats
+    and errors =
+      List.map
+        (fun j ->
+          match Serve.Json.member "error" j with
+          | Some (Serve.Json.String e) -> e
+          | _ -> "")
+        (records_of ~kind:"resume_error" stats)
+    in
+    Sys.remove stats;
+    (match o with
+    | None -> ()
+    | Some o ->
+        Alcotest.(check bool) (name ^ ": ok") true o.Serve.Job.ok;
+        List.iter
+          (fun k ->
+            Alcotest.(check int) (name ^ ": " ^ k)
+              (int_field uninterrupted k) (int_field o k))
+          [ "states"; "transitions" ];
+        Alcotest.(check bool)
+          (name ^ ": no files left") false
+          (Sys.file_exists ckpt || Sys.file_exists log));
+    (resumed <> [], errors)
+  in
+  let refused name errors =
+    match errors with
+    | [ e ] -> e
+    | _ -> Alcotest.failf "%s: %d resume_error records" name (List.length errors)
+  in
+  (* a crash mid-append: garbage behind the head's keys. The resume
+     cuts it off, so the keys its next cut appends line up; a second
+     restart from that cut still lands on the exact counts *)
+  kill_after 2;
+  append_file log "torn!";
+  let resumed, errors = restart ~kill:1 "torn tail" in
+  Alcotest.(check bool) "torn tail: resumed" true (resumed && errors = []);
+  Alcotest.(check int)
+    "torn tail: log cut back to whole records" 0
+    (file_size log mod Mc.Fingerprint.bytes);
+  let resumed, errors = restart "torn tail, second restart" in
+  Alcotest.(check bool) "second restart resumed" true (resumed && errors = []);
+  (* a log shorter than its head *)
+  kill_after 2;
+  Unix.truncate log (file_size log - Mc.Fingerprint.bytes);
+  let resumed, errors = restart "short log" in
+  Alcotest.(check bool) "short log: not resumed" false resumed;
+  ignore (refused "short log" errors);
+  (* a truncated head, then a garbled one *)
+  kill_after 1;
+  Unix.truncate ckpt (file_size ckpt / 2);
+  let resumed, errors = restart "truncated head" in
+  Alcotest.(check bool) "truncated head: not resumed" false resumed;
+  ignore (refused "truncated head" errors);
+  kill_after 1;
+  let head = Bytes.of_string (read_file ckpt) in
+  Bytes.fill head 0 (Bytes.length head / 3) '#';
+  let oc = open_out_bin ckpt in
+  output_bytes oc head;
+  close_out oc;
+  let resumed, errors = restart "garbled head" in
+  Alcotest.(check bool) "garbled head: not resumed" false resumed;
+  ignore (refused "garbled head" errors);
+  (* a format-1 cut of this very job: right identity, no log *)
+  let identity =
+    Serve.Checkpoint.identity
+      ~spec:(Serve.Json.to_string (Serve.Job.to_json job))
+  in
+  let oc = open_out_bin ckpt in
+  output_string oc
+    (Fmt.str
+       {|{"type":"checkpoint","states":1,"transitions":0,"bound_hits":0,"pending":[[]],"visited":[[17,-4]],"violations":[],"deadlocks":[],"identity":"%s"}|}
+       identity);
+  close_out oc;
+  let resumed, errors = restart "format 1" in
+  Alcotest.(check bool) "format 1: not resumed" false resumed;
+  let e = refused "format 1" errors in
+  Alcotest.(check bool)
+    (Fmt.str "format 1: error %S names the format" e)
+    true
+    (contains e "format 1");
+  Sys.rmdir dir
+
+(* A cut writes only its new claims. On bakery n=3 TSO with a cut
+   every 100,000 states, each cut appends keys no earlier cut
+   appended, and after each cut the log holds exactly the head's key
+   count — which is every state claimed so far (the run is not
+   truncated): every claim lands in the log exactly once. *)
+let cuts_append_only_new_keys () =
+  let path = tmpfile (Fmt.str "serve_keylog_%d.ckpt" (Unix.getpid ())) in
+  let log = Serve.Checkpoint.log_path path in
+  let files = Serve.Checkpoint.create ~identity ~path in
+  let seen = Mc.Visited.create () in
+  let cuts = ref 0 and repeats = ref 0 in
+  let on_cut (c : Mc.checkpoint) =
+    incr cuts;
+    ignore (Serve.Checkpoint.save files c);
+    let n = Bytes.length c.Mc.ck_keys / Mc.Fingerprint.bytes in
+    for i = 0 to n - 1 do
+      if
+        not
+          (Mc.Visited.add seen
+             (Mc.Fingerprint.read c.Mc.ck_keys (i * Mc.Fingerprint.bytes)))
+      then incr repeats
+    done;
+    let keys = Serve.Checkpoint.keys files in
+    let head =
+      match Serve.Json.parse (read_file path) with
+      | Ok j -> json_int j "keys"
+      | Error e -> Alcotest.fail e
+    in
+    Alcotest.(check int)
+      (Fmt.str "cut %d: head keys = log length / 16" !cuts)
+      (file_size log / Mc.Fingerprint.bytes)
+      head;
+    Alcotest.(check int) (Fmt.str "cut %d: head keys" !cuts) keys head;
+    Alcotest.(check int)
+      (Fmt.str "cut %d: log keys = states claimed" !cuts)
+      c.Mc.ck_states keys
+  in
+  let v =
+    Verify.Mutex_check.check ~engine:(`Parallel 1)
+      ~checkpoint:(100_000, on_cut) ~model:Memory_model.Tso
+      (Option.get (Locks.Registry.find "bakery"))
+      ~nprocs:3
+  in
+  Serve.Checkpoint.remove ~path;
+  Alcotest.(check bool) "holds" true v.Verify.Mutex_check.holds;
+  Alcotest.(check bool)
+    (Fmt.str "%d cuts" !cuts)
+    true
+    (!cuts >= v.Verify.Mutex_check.stats.Explore.states / 100_000 - 1);
+  Alcotest.(check int) "keys appended twice" 0 !repeats
+
+(* Each [checkpoint] record says what the cut cost: [keys] in the log
+   after it and [bytes] it wrote (head plus log append), read back
+   from the files as each cut lands. *)
+let checkpoint_record_fields () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "serve_ckfields_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let ckpt = Filename.concat dir "cf1.ckpt" in
+  let log = Serve.Checkpoint.log_path ckpt in
+  let stats = Filename.concat dir "cf1.ndjson" in
+  let sink = Telemetry.Sink.create stats in
+  let sizes = ref [] in
+  let on_checkpoint () =
+    sizes := (file_size ckpt, file_size log) :: !sizes
+  in
+  let o =
+    Serve.Job.run ~sink ~checkpoint:(400, dir) ~on_checkpoint (bakery2 "cf1")
+  in
+  Telemetry.Sink.close sink;
+  Alcotest.(check bool) "ok" true o.Serve.Job.ok;
+  let records = records_of ~kind:"checkpoint" stats in
+  let sizes = List.rev !sizes in
+  Alcotest.(check int) "one record per cut" (List.length sizes)
+    (List.length records);
+  Alcotest.(check bool) "several cuts" true (List.length records >= 3);
+  ignore
+    (List.fold_left2
+       (fun prev_log r (head, log_size) ->
+         let keys = json_int r "keys" in
+         Alcotest.(check int) "keys = log length / 16"
+           (log_size / Mc.Fingerprint.bytes)
+           keys;
+         Alcotest.(check int) "keys = states claimed" (json_int r "states") keys;
+         Alcotest.(check int) "bytes = head + log append"
+           (head + log_size - prev_log)
+           (json_int r "bytes");
+         log_size)
+       0 records sizes);
   Sys.remove stats;
   Sys.rmdir dir
 
@@ -535,6 +858,12 @@ let suite =
         job_level_resume;
       Alcotest.test_case "re-spooled id with another spec starts fresh" `Slow
         respooled_id_starts_fresh;
+      Alcotest.test_case "hostile checkpoint files: exact counts, no leftovers"
+        `Slow hostile_checkpoint_files;
+      Alcotest.test_case "key log: each cut appends only its new claims" `Slow
+        cuts_append_only_new_keys;
+      Alcotest.test_case "wire: checkpoint records carry keys and bytes"
+        `Quick checkpoint_record_fields;
       Alcotest.test_case "pool: backpressure bounds queue depth" `Quick
         backpressure;
       Alcotest.test_case "daemon: spool pass, rejects, done markers" `Slow
